@@ -10,7 +10,7 @@
 //     paper motivates with Figure 7.
 //   - BenchmarkAblation* quantify RAP's phase 2 (loop spill motion, §3.2)
 //     and phase 3 (load/store elimination, §3.3) on the whole suite.
-//   - BenchmarkAlloc*/BenchmarkPDGBuild/BenchmarkInterp measure the
+//   - BenchmarkAlloc*/BenchmarkPDGBuild/BenchmarkInterp* measure the
 //     infrastructure itself (compile-time costs, which §1 contrasts with
 //     Proebsting/Fischer's expensive approach).
 //
@@ -135,11 +135,14 @@ func BenchmarkPDGBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkInterp(b *testing.B) {
-	p, err := core.Compile(bench.ProgramByName("sieve").Source, core.Config{Allocator: core.AllocRAP, K: 5})
+// benchInterp runs one program compiled at k=5 on the interpreter,
+// reporting allocations and the simulated cycles executed per second.
+func benchInterp(b *testing.B, name string, alloc core.Allocator) {
+	p, err := core.Compile(bench.ProgramByName(name).Source, core.Config{Allocator: alloc, K: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	var cycles int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -150,7 +153,15 @@ func BenchmarkInterp(b *testing.B) {
 		cycles = res.Total.Cycles
 	}
 	b.ReportMetric(float64(cycles), "cycles/run")
+	b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
 }
+
+// BenchmarkInterp runs sieve under RAP; its hot loop makes no calls.
+func BenchmarkInterp(b *testing.B) { benchInterp(b, "sieve", core.AllocRAP) }
+
+// BenchmarkInterpCalls runs hanoi under IRC, which recurses through the
+// call ABI, so the per-call frame cost shows.
+func BenchmarkInterpCalls(b *testing.B) { benchInterp(b, "hanoi", core.AllocIRC) }
 
 // BenchmarkChaitinSingleFunction isolates the baseline allocator on the
 // heaviest single function.

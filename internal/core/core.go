@@ -217,12 +217,6 @@ func Run(p *ir.Program) (*interp.Result, error) {
 	return interp.Run(p, interp.Options{})
 }
 
-// RunContext executes a compiled program on the counting interpreter,
-// stopping early (with ctx's error) if ctx is cancelled mid-run.
-func RunContext(ctx context.Context, p *ir.Program) (*interp.Result, error) {
-	return interp.Run(p, interp.Options{Context: ctx})
-}
-
 // Measurement is one routine's executed-instruction statistics under the
 // compared allocators for one register set size.
 type Measurement struct {
@@ -325,10 +319,18 @@ type CompareConfig struct {
 	// in deterministic order, and metrics counters are merged at the
 	// join, so the output is byte-identical to a sequential run.
 	Parallel int
-	// Trace observes every compilation the comparison performs (the
-	// measured interpreter runs stay untraced so per-function counters
-	// are not mixed across allocators).
+	// Trace observes every compilation and interpreter run the
+	// comparison performs. The runs are timed under the "interp" span;
+	// their "interp.func.*" and "interp.total.*" counters sum over the
+	// reference and all three allocations (the per-allocator counts are
+	// in the returned Measurements).
 	Trace *obs.Tracer
+}
+
+// run executes one program of the comparison on the interpreter, stopping
+// early (with ctx's error) if ctx is cancelled mid-run.
+func (cfg CompareConfig) run(ctx context.Context, p *ir.Program) (*interp.Result, error) {
+	return interp.Run(p, interp.Options{Context: ctx, Tracer: cfg.Trace})
 }
 
 // staticSpillOps counts lds/sts instructions in a compiled routine.
@@ -374,7 +376,7 @@ func CompileRef(src string, cfg CompareConfig) (*RefRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := Run(ref)
+	res, err := cfg.run(context.Background(), ref)
 	if err != nil {
 		return nil, fmt.Errorf("unallocated run: %w", err)
 	}
@@ -423,7 +425,7 @@ func CompareAtKContext(ctx context.Context, src string, k int, cfg CompareConfig
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	graRes, err := RunContext(ctx, graProg)
+	graRes, err := cfg.run(ctx, graProg)
 	if err != nil {
 		return nil, fmt.Errorf("gra k=%d run: %w", k, err)
 	}
@@ -445,7 +447,7 @@ func CompareAtKContext(ctx context.Context, src string, k int, cfg CompareConfig
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rapRes, err := RunContext(ctx, rapProg)
+	rapRes, err := cfg.run(ctx, rapProg)
 	if err != nil {
 		return nil, fmt.Errorf("rap k=%d run: %w", k, err)
 	}
@@ -467,7 +469,7 @@ func CompareAtKContext(ctx context.Context, src string, k int, cfg CompareConfig
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ircRes, err := RunContext(ctx, ircProg)
+	ircRes, err := cfg.run(ctx, ircProg)
 	if err != nil {
 		return nil, fmt.Errorf("irc k=%d run: %w", k, err)
 	}

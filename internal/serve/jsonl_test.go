@@ -83,3 +83,41 @@ func TestRunJSONLMalformedLine(t *testing.T) {
 		t.Errorf("preceding job's result missing from output:\n%s", out.String())
 	}
 }
+
+// TestRunJSONLRunawayRecursion checks that a job recursing without bound
+// fails alone, with the interpreter's call depth error, instead of taking
+// the process (and the job queued behind it) down.
+func TestRunJSONLRunawayRecursion(t *testing.T) {
+	r := serve.NewRunner(serve.RunnerConfig{Workers: 1})
+	defer drained(t, r)
+	var in strings.Builder
+	for _, job := range []serve.Job{
+		{ID: "deep", Source: "int f(int x) { return f(x + 1); } int main() { return f(0); }", Allocator: "rap", K: 5},
+		{ID: "next", Source: goodSrc, Allocator: "rap", K: 5},
+	} {
+		b, _ := json.Marshal(job)
+		in.Write(b)
+		in.WriteByte('\n')
+	}
+	var out bytes.Buffer
+	if err := serve.RunJSONL(context.Background(), r, strings.NewReader(in.String()), &out); err != nil {
+		t.Fatalf("RunJSONL: %v", err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("%d result lines, want 2:\n%s", len(lines), out.String())
+	}
+	var deep, next serve.Result
+	if err := json.Unmarshal([]byte(lines[0]), &deep); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(lines[1]), &next); err != nil {
+		t.Fatal(err)
+	}
+	if deep.Status != serve.StatusError || !strings.Contains(deep.Error, "interp: call depth limit exceeded in f") {
+		t.Errorf("deep: status %q, error %q; want the call depth error", deep.Status, deep.Error)
+	}
+	if next.Status != serve.StatusOK {
+		t.Errorf("next: status %q (%s), want ok", next.Status, next.Error)
+	}
+}
