@@ -89,6 +89,7 @@ func benchAllocate(b *testing.B, allocate func(fn string) error) {
 	if prog == nil {
 		b.Fatal("clinpack missing")
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := allocate(prog.Source); err != nil {
@@ -125,6 +126,7 @@ func BenchmarkPDGBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range p.Funcs {
@@ -171,6 +173,7 @@ func BenchmarkChaitinSingleFunction(b *testing.B) {
 		b.Fatal(err)
 	}
 	tmpl := p.Func("dgefa")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := tmpl.Clone()
@@ -188,6 +191,7 @@ func BenchmarkRAPSingleFunction(b *testing.B) {
 		b.Fatal(err)
 	}
 	tmpl := p.Func("dgefa")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := tmpl.Clone()

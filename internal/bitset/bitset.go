@@ -1,7 +1,10 @@
 // Package bitset provides a dense bit set used by the dataflow analyses.
 package bitset
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Set is a fixed-capacity bit set over the integers [0, n).
 type Set struct {
@@ -17,15 +20,34 @@ func New(n int) *Set {
 // out of one backing allocation (the dataflow analyses allocate tens of
 // thousands of short-lived sets).
 func NewBatch(count, n int) []*Set {
+	var b Batch
+	return b.Carve(count, n)
+}
+
+// Batch is reusable storage for a NewBatch-style array of sets, so an
+// analysis that is recomputed many times can recycle one allocation.
+type Batch struct {
+	words []uint64
+	sets  []Set
+	ptrs  []*Set
+}
+
+// Carve returns count empty sets, each with capacity n, carved out of the
+// batch's storage: the sets NewBatch(count, n) would return. Sets from a
+// previous Carve share that storage and must no longer be used. Storage
+// that must grow grows as append grows it, leaving room for the next
+// Carve.
+func (b *Batch) Carve(count, n int) []*Set {
 	words := (n + 63) / 64
-	backing := make([]uint64, count*words)
-	out := make([]*Set, count)
-	sets := make([]Set, count)
-	for i := range out {
-		sets[i].words = backing[i*words : (i+1)*words : (i+1)*words]
-		out[i] = &sets[i]
+	b.words = slices.Grow(b.words[:0], count*words)[:count*words]
+	b.sets = slices.Grow(b.sets[:0], count)[:count]
+	b.ptrs = slices.Grow(b.ptrs[:0], count)[:count]
+	clear(b.words)
+	for i := range b.ptrs {
+		b.sets[i].words = b.words[i*words : (i+1)*words : (i+1)*words]
+		b.ptrs[i] = &b.sets[i]
 	}
-	return out
+	return b.ptrs
 }
 
 // Add inserts i into the set. It panics if i is out of range.

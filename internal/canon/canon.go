@@ -80,7 +80,7 @@ type Hasher struct {
 	spans     []ir.Span
 	succs     [][]int
 	liveIn    []*bitset.Set
-	totalRefs map[ir.Reg]int
+	totalRefs []int32
 }
 
 // NewHasher builds the analysis state (CFG, liveness, reference counts)
@@ -91,23 +91,13 @@ func NewHasher(f *ir.Function, salt string) (*Hasher, error) {
 		return nil, err
 	}
 	lv := dataflow.ComputeLiveness(g)
-	totalRefs := map[ir.Reg]int{}
-	var buf []ir.Reg
-	for _, in := range f.Instrs {
-		buf = in.Uses(buf[:0])
-		for _, u := range buf {
-			totalRefs[u]++
-		}
-		if d := in.Def(); d != ir.None {
-			totalRefs[d]++
-		}
-	}
-	return NewHasherFromAnalysis(f, salt, f.RegionSpans(), g.InstrSuccs, lv.LiveIn, totalRefs), nil
+	return NewHasherFromAnalysis(f, salt, f.RegionSpans(), g.InstrSuccs, lv.LiveIn, f.RefCounts(nil)), nil
 }
 
 // NewHasherFromAnalysis wraps analysis state the caller already computed
-// (RAP's allocator reuses its own) without recomputing it.
-func NewHasherFromAnalysis(f *ir.Function, salt string, spans []ir.Span, succs [][]int, liveIn []*bitset.Set, totalRefs map[ir.Reg]int) *Hasher {
+// (RAP's allocator reuses its own) without recomputing it. totalRefs is
+// indexed by register, as ir.Function.RefCounts returns it.
+func NewHasherFromAnalysis(f *ir.Function, salt string, spans []ir.Span, succs [][]int, liveIn []*bitset.Set, totalRefs []int32) *Hasher {
 	return &Hasher{f: f, salt: salt, spans: spans, succs: succs, liveIn: liveIn, totalRefs: totalRefs}
 }
 
@@ -209,7 +199,7 @@ func (h *Hasher) Region(V *ir.Region) RegionKey {
 
 	// (4) Outside-reference bit per register.
 	for _, r := range regs {
-		if h.totalRefs[r] > inCount[r] {
+		if int(h.totalRefs[r]) > inCount[r] {
 			w.u64(1)
 		} else {
 			w.u64(0)

@@ -4,6 +4,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ir"
 )
@@ -22,6 +23,15 @@ type Graph struct {
 	Blocks []*Block
 	// BlockOf[i] is the index of the block containing instruction i.
 	BlockOf []int
+
+	// Storage behind the exported views, kept for Rebuild: the flat
+	// successor and predecessor arenas InstrSuccs and InstrPreds slice,
+	// the block structs Blocks points at, the arena of block edge lists,
+	// and the label index.
+	succs, preds []int
+	blocks       []Block
+	edges        []int
+	labels       map[string]int
 }
 
 // Block is a basic block: the half-open instruction range [Start, End).
@@ -34,94 +44,179 @@ type Block struct {
 
 // Build constructs the CFG for f. It returns an error if a branch targets
 // an unknown label.
-func Build(f *ir.Function) (*Graph, error) {
-	g := &Graph{F: f}
+func Build(f *ir.Function) (*Graph, error) { return Rebuild(nil, f) }
+
+// Rebuild constructs the CFG for f into g's storage and returns g: the
+// graph Build would return, allocating only where f outgrows what g
+// already holds (the arrays then grow as append grows them, leaving
+// room for the next round). g may be nil, which is Build. Every slice of
+// g's previous contents is overwritten, so callers must not keep any
+// across the call. Allocators that re-derive the CFG after each spill
+// round use it to recycle one graph.
+func Rebuild(g *Graph, f *ir.Function) (*Graph, error) {
+	if g == nil {
+		g = &Graph{}
+	}
+	g.F = f
 	n := len(f.Instrs)
-	labels := f.LabelIndex()
-	g.InstrSuccs = make([][]int, n)
-	g.InstrPreds = make([][]int, n)
+	if g.labels == nil {
+		nl := 0
+		for _, in := range f.Instrs {
+			if in.Op == ir.OpLabel {
+				nl++
+			}
+		}
+		g.labels = make(map[string]int, nl)
+	} else {
+		clear(g.labels)
+	}
+	// Pass 1: the label index, and the successor count of every
+	// instruction so the arenas are sized exactly. Distinct label names
+	// name distinct instructions, so a cbr has two successors exactly
+	// when its labels differ.
+	total := 0
 	for i, in := range f.Instrs {
-		var succs []int
+		if in.Op == ir.OpLabel {
+			g.labels[in.Label] = i
+		}
 		switch in.Op {
 		case ir.OpJump:
-			t, ok := labels[in.Label]
+			total++
+		case ir.OpCBr:
+			total++
+			if in.Label != in.Label2 {
+				total++
+			}
+		case ir.OpRet:
+		default:
+			if i+1 < n {
+				total++
+			}
+		}
+	}
+	g.succs = resize(g.succs, total)
+	g.preds = resize(g.preds, total)
+	g.InstrSuccs = resize(g.InstrSuccs, n)
+	g.InstrPreds = resize(g.InstrPreds, n)
+	g.BlockOf = resize(g.BlockOf, n)
+	// Pass 2: successors, resolving labels. BlockOf counts each
+	// instruction's predecessors until the blocks are cut.
+	count := g.BlockOf
+	clear(count)
+	at := 0
+	for i, in := range f.Instrs {
+		s := g.succs[at:at]
+		switch in.Op {
+		case ir.OpJump:
+			t, ok := g.labels[in.Label]
 			if !ok {
 				return nil, fmt.Errorf("%s: jump to unknown label %q", f.Name, in.Label)
 			}
-			succs = []int{t}
+			s = append(s, t)
 		case ir.OpCBr:
-			t1, ok1 := labels[in.Label]
-			t2, ok2 := labels[in.Label2]
+			t1, ok1 := g.labels[in.Label]
+			t2, ok2 := g.labels[in.Label2]
 			if !ok1 || !ok2 {
 				return nil, fmt.Errorf("%s: cbr to unknown label %q/%q", f.Name, in.Label, in.Label2)
 			}
-			if t1 == t2 {
-				succs = []int{t1}
-			} else {
-				succs = []int{t1, t2}
+			s = append(s, t1)
+			if t1 != t2 {
+				s = append(s, t2)
 			}
 		case ir.OpRet:
 			// no successors
 		default:
 			if i+1 < n {
-				succs = []int{i + 1}
+				s = append(s, i+1)
 			}
 		}
-		g.InstrSuccs[i] = succs
+		g.InstrSuccs[i] = s[:len(s):len(s)]
+		for _, t := range s {
+			count[t]++
+		}
+		at += len(s)
+	}
+	// Predecessors in source order: turn the counts into start offsets,
+	// then drop each edge at its target's cursor.
+	off := 0
+	for i, c := range count {
+		count[i] = off
+		off += c
 	}
 	for i, succs := range g.InstrSuccs {
-		for _, s := range succs {
-			g.InstrPreds[s] = append(g.InstrPreds[s], i)
+		for _, t := range succs {
+			g.preds[count[t]] = i
+			count[t]++
 		}
 	}
-	g.buildBlocks(labels)
+	start := 0
+	for i, end := range count {
+		g.InstrPreds[i] = g.preds[start:end:end]
+		start = end
+	}
+	g.buildBlocks()
 	return g, nil
 }
 
-func (g *Graph) buildBlocks(labels map[string]int) {
+// leader reports whether instruction i starts a basic block: the entry,
+// a label, or the instruction after a branch.
+func (g *Graph) leader(i int) bool {
+	return i == 0 || g.F.Instrs[i].Op == ir.OpLabel || g.F.Instrs[i-1].IsBranch()
+}
+
+func (g *Graph) buildBlocks() {
 	n := len(g.F.Instrs)
-	if n == 0 {
-		return
-	}
-	leader := make([]bool, n)
-	leader[0] = true
-	for i, in := range g.F.Instrs {
-		if in.Op == ir.OpLabel {
-			leader[i] = true
-		}
-		if in.IsBranch() && i+1 < n {
-			leader[i+1] = true
-		}
-	}
-	g.BlockOf = make([]int, n)
+	nb := 0
 	for i := 0; i < n; i++ {
-		if leader[i] {
-			b := &Block{ID: len(g.Blocks), Start: i}
-			g.Blocks = append(g.Blocks, b)
+		if g.leader(i) {
+			nb++
 		}
-		cur := g.Blocks[len(g.Blocks)-1]
-		cur.End = i + 1
-		g.BlockOf[i] = cur.ID
+	}
+	g.blocks = resize(g.blocks, nb)
+	g.Blocks = resize(g.Blocks, nb)
+	b := -1
+	for i := 0; i < n; i++ {
+		if g.leader(i) {
+			b++
+			g.blocks[b] = Block{ID: b, Start: i}
+			g.Blocks[b] = &g.blocks[b]
+		}
+		g.blocks[b].End = i + 1
+		g.BlockOf[i] = b
 	}
 	// Block edges come from the last instruction's successors plus
-	// fallthrough (which InstrSuccs already covers).
-	for _, b := range g.Blocks {
-		last := b.End - 1
-		seen := map[int]bool{}
-		for _, s := range g.InstrSuccs[last] {
-			sb := g.BlockOf[s]
-			if !seen[sb] {
-				seen[sb] = true
-				b.Succs = append(b.Succs, sb)
+	// fallthrough (which InstrSuccs already covers). Every such successor
+	// starts a block, and every predecessor of a block's first
+	// instruction ends one, so a block's predecessors are the blocks of
+	// its first instruction's predecessors, already in ascending order.
+	ne := 0
+	for i := range g.blocks {
+		ne += len(g.InstrPreds[g.blocks[i].Start])
+	}
+	g.edges = resize(g.edges, 2*ne)
+	at := 0
+	for i := range g.blocks {
+		blk := &g.blocks[i]
+		s := g.edges[at:at]
+		for _, t := range g.InstrSuccs[blk.End-1] {
+			if sb := g.BlockOf[t]; len(s) == 0 || s[0] != sb {
+				s = append(s, sb)
 			}
 		}
-	}
-	for _, b := range g.Blocks {
-		for _, s := range b.Succs {
-			g.Blocks[s].Preds = append(g.Blocks[s].Preds, b.ID)
+		blk.Succs = s[:len(s):len(s)]
+		at += len(s)
+		p := g.edges[at:at]
+		for _, j := range g.InstrPreds[blk.Start] {
+			p = append(p, g.BlockOf[j])
 		}
+		blk.Preds = p[:len(p):len(p)]
+		at += len(p)
 	}
 }
+
+// resize returns s with length n, reusing its array when it is large
+// enough; the contents are not cleared.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // ReversePostorder returns block IDs in reverse postorder from the entry
 // block. Unreachable blocks are appended at the end in ID order.

@@ -3,6 +3,7 @@
 package dataflow
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -22,50 +23,67 @@ type Liveness struct {
 	LiveOut []*bitset.Set
 	// NumRegs is the register index capacity of the sets.
 	NumRegs int
+
+	// Storage kept for RecomputeLiveness: the per-instruction sets, the
+	// per-block summaries, and the instructions' defs and use lists (the
+	// uses of instruction i are useFlat[useAt[i]:useAt[i+1]]).
+	sets, blockSets bitset.Batch
+	defs            []ir.Reg
+	useAt           []int32
+	useFlat         []ir.Reg
 }
 
 // ComputeLiveness computes per-instruction liveness for g's function: a
 // block-level backward dataflow fixpoint (UEVar/Kill summaries per basic
 // block) followed by one backward sweep inside each block to fill the
 // per-instruction sets.
-func ComputeLiveness(g *cfg.Graph) *Liveness {
+func ComputeLiveness(g *cfg.Graph) *Liveness { return RecomputeLiveness(nil, g) }
+
+// RecomputeLiveness computes the liveness ComputeLiveness(g) would return
+// into lv's storage and returns lv; lv may be nil, which is
+// ComputeLiveness. The sets are re-carved at the current register count,
+// so each has the capacity a fresh computation gives it. Sets of lv's
+// previous contents must not be used after the call.
+func RecomputeLiveness(lv *Liveness, g *cfg.Graph) *Liveness {
+	if lv == nil {
+		lv = &Liveness{}
+	}
 	f := g.F
 	n := len(f.Instrs)
 	numRegs := int(f.NextReg)
-	batch := bitset.NewBatch(2*n, numRegs)
-	lv := &Liveness{
-		LiveIn:  batch[:n],
-		LiveOut: batch[n:],
-		NumRegs: numRegs,
-	}
+	batch := lv.sets.Carve(2*n, numRegs)
+	lv.LiveIn = batch[:n]
+	lv.LiveOut = batch[n:]
+	lv.NumRegs = numRegs
 	// Precompute use/def per instruction. The per-instruction use lists
-	// are slices of one flat arena (grown by appending each instruction's
+	// are spans of one flat arena (grown by appending each instruction's
 	// uses in order) instead of n separate allocations.
-	uses := make([][]ir.Reg, n)
-	defs := make([]ir.Reg, n)
-	offs := make([]int32, n+1)
-	var flat []ir.Reg
+	lv.defs = resize(lv.defs, n)
+	lv.useAt = resize(lv.useAt, n+1)
+	flat := lv.useFlat[:0]
+	lv.useAt[0] = 0
 	for i, in := range f.Instrs {
 		flat = in.Uses(flat)
-		offs[i+1] = int32(len(flat))
-		defs[i] = in.Def()
+		lv.useAt[i+1] = int32(len(flat))
+		lv.defs[i] = in.Def()
 	}
-	for i := range uses {
-		uses[i] = flat[offs[i]:offs[i+1]:offs[i+1]]
-	}
+	lv.useFlat = flat
+	uses := func(i int) []ir.Reg { return flat[lv.useAt[i]:lv.useAt[i+1]] }
+	defs := lv.defs
 	nb := len(g.Blocks)
 	if nb == 0 {
 		return lv
 	}
 	// Block summaries: ueVar (used before any local kill) and kill.
-	bbatch := bitset.NewBatch(4*nb, numRegs)
+	bbatch := lv.blockSets.Carve(4*nb+1, numRegs)
 	ueVar := bbatch[:nb]
 	kill := bbatch[nb : 2*nb]
 	blockIn := bbatch[2*nb : 3*nb]
-	blockOut := bbatch[3*nb:]
+	blockOut := bbatch[3*nb : 4*nb]
+	tmp := bbatch[4*nb]
 	for b, blk := range g.Blocks {
 		for i := blk.Start; i < blk.End; i++ {
-			for _, u := range uses[i] {
+			for _, u := range uses(i) {
 				if !kill[b].Has(int(u)) {
 					ueVar[b].Add(int(u))
 				}
@@ -78,7 +96,6 @@ func ComputeLiveness(g *cfg.Graph) *Liveness {
 	// Fixpoint over blocks, postorder (reverse of RPO) for fast
 	// convergence on reducible graphs.
 	rpo := g.ReversePostorder()
-	tmp := bitset.New(numRegs)
 	for changed := true; changed; {
 		changed = false
 		for idx := len(rpo) - 1; idx >= 0; idx-- {
@@ -108,7 +125,7 @@ func ComputeLiveness(g *cfg.Graph) *Liveness {
 			if d := defs[i]; d != ir.None {
 				tmp.Remove(int(d))
 			}
-			for _, u := range uses[i] {
+			for _, u := range uses(i) {
 				tmp.Add(int(u))
 			}
 			lv.LiveIn[i].Copy(tmp)
@@ -118,96 +135,136 @@ func ComputeLiveness(g *cfg.Graph) *Liveness {
 }
 
 // DefUse records, for every register, where it is defined and used, and
-// answers which uses each definition reaches. Reaching sets are computed
-// lazily per definition (the allocator only ever asks about the handful
-// of registers it spills) and memoized.
+// answers which uses each definition reaches. The site tables are dense
+// per register; reaching uses are walked on demand (the allocators only
+// ask about the handful of registers they spill).
 type DefUse struct {
-	// Defs[r] lists instruction indices that define register r.
-	Defs map[ir.Reg][]int
-	// Uses[r] lists instruction indices that use register r.
-	Uses map[ir.Reg][]int
+	// NumRegs bounds the registers with site tables: Defs and Uses are
+	// empty for every register at or above it.
+	NumRegs int
 
-	g       *cfg.Graph
-	usesAt  [][]ir.Reg
+	g *cfg.Graph
+	// Sites of register r: defSites[defOff[r]:defOff[r+1]] and
+	// useSites[useOff[r]:useOff[r+1]], each in ascending order.
+	defOff, useOff     []int32
+	defSites, useSites []int
+	// The deduplicated uses of instruction i are useFlat[useAt[i]:useAt[i+1]].
+	useAt   []int32
+	useFlat []ir.Reg
 	defAt   []ir.Reg
-	reached map[defKey][]int
 	// visited/gen implement O(1) per-query reset: a slot is visited in
 	// the current walk iff visited[i] == gen. Bumping gen invalidates
 	// every slot without touching the slice.
 	visited []int32
 	gen     int32
-}
-
-type defKey struct {
-	Instr int
-	Reg   ir.Reg
+	stack   []int
 }
 
 // ComputeDefUse builds def/use site tables for g's function in one scan;
 // reaching queries walk the CFG on demand.
-func ComputeDefUse(g *cfg.Graph) *DefUse {
+func ComputeDefUse(g *cfg.Graph) *DefUse { return RecomputeDefUse(nil, g) }
+
+// RecomputeDefUse builds the tables ComputeDefUse(g) would return into
+// du's storage and returns du; du may be nil, which is ComputeDefUse.
+// Slices du returned before the call must not be used after it.
+func RecomputeDefUse(du *DefUse, g *cfg.Graph) *DefUse {
+	if du == nil {
+		du = &DefUse{}
+	}
 	f := g.F
 	n := len(f.Instrs)
-	du := &DefUse{
-		Defs:    map[ir.Reg][]int{},
-		Uses:    map[ir.Reg][]int{},
-		g:       g,
-		usesAt:  make([][]ir.Reg, n),
-		defAt:   make([]ir.Reg, n),
-		reached: map[defKey][]int{},
-		visited: make([]int32, n),
-	}
-	// The deduplicated per-instruction use lists are slices of one flat
-	// arena rather than n separate allocations.
-	offs := make([]int32, n+1)
-	var flat, buf []ir.Reg
+	du.g = g
+	du.useAt = resize(du.useAt, n+1)
+	du.defAt = resize(du.defAt, n)
+	du.visited = resize(du.visited, n)
+	clear(du.visited)
+	du.gen = 0
+	// Per-instruction deduplicated uses, and the register count the
+	// tables need.
+	numRegs := int(f.NextReg)
+	flat := du.useFlat[:0]
+	du.useAt[0] = 0
+	var buf []ir.Reg
 	for i, in := range f.Instrs {
 		buf = in.Uses(buf[:0])
 		start := len(flat)
 		for _, u := range buf {
-			dup := false
-			for _, prev := range flat[start:] {
-				if prev == u {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+			if !slices.Contains(flat[start:], u) {
 				flat = append(flat, u)
-				du.Uses[u] = append(du.Uses[u], i)
+				numRegs = max(numRegs, int(u)+1)
 			}
 		}
-		offs[i+1] = int32(len(flat))
-		du.defAt[i] = in.Def()
-		if d := du.defAt[i]; d != ir.None {
-			du.Defs[d] = append(du.Defs[d], i)
+		du.useAt[i+1] = int32(len(flat))
+		d := in.Def()
+		du.defAt[i] = d
+		numRegs = max(numRegs, int(d)+1)
+	}
+	du.useFlat = flat
+	du.NumRegs = numRegs
+	// Counting sort of the sites by register, instruction order kept.
+	du.defOff = resize(du.defOff, numRegs+1)
+	du.useOff = resize(du.useOff, numRegs+1)
+	clear(du.defOff)
+	clear(du.useOff)
+	nDefs := 0
+	for _, d := range du.defAt {
+		if d != ir.None {
+			du.defOff[d+1]++
+			nDefs++
 		}
 	}
-	for i := range du.usesAt {
-		du.usesAt[i] = flat[offs[i]:offs[i+1]:offs[i+1]]
+	for _, u := range flat {
+		du.useOff[u+1]++
 	}
+	for r := 1; r <= numRegs; r++ {
+		du.defOff[r] += du.defOff[r-1]
+		du.useOff[r] += du.useOff[r-1]
+	}
+	du.defSites = resize(du.defSites, nDefs)
+	du.useSites = resize(du.useSites, len(flat))
+	for i, d := range du.defAt {
+		if d != ir.None {
+			du.defSites[du.defOff[d]] = i
+			du.defOff[d]++
+		}
+		for _, u := range flat[du.useAt[i]:du.useAt[i+1]] {
+			du.useSites[du.useOff[u]] = i
+			du.useOff[u]++
+		}
+	}
+	// Each offset now holds its register's end, which is the next
+	// register's start: shift back by one.
+	copy(du.defOff[1:], du.defOff[:numRegs])
+	copy(du.useOff[1:], du.useOff[:numRegs])
+	du.defOff[0], du.useOff[0] = 0, 0
 	return du
 }
 
+// Defs returns the instructions that define r, ascending. The slice
+// belongs to du and must not be modified.
+func (du *DefUse) Defs(r ir.Reg) []int {
+	if int(r) >= du.NumRegs {
+		return nil
+	}
+	return du.defSites[du.defOff[r]:du.defOff[r+1]:du.defOff[r+1]]
+}
+
+// Uses returns the instructions that use r, ascending. The slice belongs
+// to du and must not be modified.
+func (du *DefUse) Uses(r ir.Reg) []int {
+	if int(r) >= du.NumRegs {
+		return nil
+	}
+	return du.useSites[du.useOff[r]:du.useOff[r+1]:du.useOff[r+1]]
+}
+
 // ReachedUses returns the uses reached by the definition of r at
-// instruction d: a forward reachability walk from d that stops at
-// redefinitions of r. Results are memoized.
+// instruction d, ascending: a forward reachability walk from d that stops
+// at redefinitions of r.
 func (du *DefUse) ReachedUses(d int, r ir.Reg) []int {
-	key := defKey{d, r}
-	if got, ok := du.reached[key]; ok {
-		return got
-	}
 	du.gen++
-	usesReg := func(i int) bool {
-		for _, u := range du.usesAt[i] {
-			if u == r {
-				return true
-			}
-		}
-		return false
-	}
 	var reached []int
-	stack := append([]int(nil), du.g.InstrSuccs[d]...)
+	stack := append(du.stack[:0], du.g.InstrSuccs[d]...)
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -215,7 +272,7 @@ func (du *DefUse) ReachedUses(d int, r ir.Reg) []int {
 			continue
 		}
 		du.visited[i] = du.gen
-		if usesReg(i) {
+		if slices.Contains(du.useFlat[du.useAt[i]:du.useAt[i+1]], r) {
 			reached = append(reached, i)
 		}
 		if du.defAt[i] == r {
@@ -223,18 +280,12 @@ func (du *DefUse) ReachedUses(d int, r ir.Reg) []int {
 		}
 		stack = append(stack, du.g.InstrSuccs[i]...)
 	}
+	du.stack = stack
 	sort.Ints(reached)
-	du.reached[key] = reached
 	return reached
 }
 
-// DefReachesUseOutside reports whether the definition of r at instruction
-// d reaches any use at an instruction for which outside returns true.
-func (du *DefUse) DefReachesUseOutside(d int, r ir.Reg, outside func(int) bool) bool {
-	for _, u := range du.ReachedUses(d, r) {
-		if outside(u) {
-			return true
-		}
-	}
-	return false
-}
+// resize returns s with length n, reusing its array when it is large
+// enough (a recomputation that outgrows it leaves append's headroom for
+// the next); the contents are not cleared.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }

@@ -102,12 +102,12 @@ func TestDefUseConsistency(t *testing.T) {
 				return false
 			}
 			du := dataflow.ComputeDefUse(g)
-			for r, defs := range du.Defs {
+			for r := ir.Reg(0); int(r) < du.NumRegs; r++ {
 				useSet := map[int]bool{}
-				for _, u := range du.Uses[r] {
+				for _, u := range du.Uses(r) {
 					useSet[u] = true
 				}
-				for _, d := range defs {
+				for _, d := range du.Defs(r) {
 					for _, u := range du.ReachedUses(d, r) {
 						if !useSet[u] {
 							return false

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -280,6 +281,33 @@ func (f *Function) VRegs() []Reg {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// RefCounts counts the references to every register in the body, one
+// per occurrence (an instruction reading a register twice counts it
+// twice), indexed by register: the result covers every register below
+// NextReg and any higher one the body mentions. It reuses buf's array
+// when that is large enough.
+func (f *Function) RefCounts(buf []int32) []int32 {
+	counts := slices.Grow(buf[:0], int(f.NextReg))[:f.NextReg]
+	clear(counts)
+	inc := func(r Reg) {
+		for int(r) >= len(counts) {
+			counts = append(counts, 0)
+		}
+		counts[r]++
+	}
+	var ubuf []Reg
+	for _, in := range f.Instrs {
+		ubuf = in.Uses(ubuf[:0])
+		for _, u := range ubuf {
+			inc(u)
+		}
+		if d := in.Def(); d != None {
+			inc(d)
+		}
+	}
+	return counts
 }
 
 // String renders the function in the textual IR format understood by

@@ -232,8 +232,8 @@ func Build(f *ir.Function) (*Graph, error) {
 	// Data dependence edges: definition sites to the uses they reach.
 	du := dataflow.ComputeDefUse(cg)
 	seen := map[[3]int]bool{}
-	for r, defs := range du.Defs {
-		for _, d := range defs {
+	for r := ir.Reg(1); int(r) < du.NumRegs; r++ {
+		for _, d := range du.Defs(r) {
 			for _, u := range du.ReachedUses(d, r) {
 				from, to := g.blockNode[cg.BlockOf[d]], g.blockNode[cg.BlockOf[u]]
 				k := [3]int{from, to, int(r)}

@@ -52,14 +52,22 @@ func Allocate(f *ir.Function, k int, opts Options) error {
 	span := opts.Trace.StartSpan("gra.color")
 	defer span.End()
 	sp := regalloc.NewSpiller(f)
+	// One CFG, liveness and reference count table, recomputed in place
+	// by every round.
+	var (
+		g    *cfg.Graph
+		lv   *dataflow.Liveness
+		refs []int32
+	)
 	for iter := 0; iter < maxIter; iter++ {
 		stopBuild := opts.Trace.StartTimer("gra.phase.build")
-		g, err := cfg.Build(f)
+		var err error
+		g, err = cfg.Rebuild(g, f)
 		if err != nil {
 			stopBuild()
 			return fmt.Errorf("chaitin: %w", err)
 		}
-		lv := dataflow.ComputeLiveness(g)
+		lv = dataflow.RecomputeLiveness(lv, g)
 		graph := regalloc.BuildInterference(f, g, lv)
 		if opts.Coalesce {
 			regalloc.CoalesceConservative(f.Instrs, graph, k, false, nil)
@@ -68,12 +76,12 @@ func Allocate(f *ir.Function, k int, opts Options) error {
 
 		// Spill costs: refs/degree, infinite for spill temporaries.
 		// Coalesced nodes sum their members' reference counts.
-		refs := countRefs(f)
+		refs = f.RefCounts(refs)
 		for _, n := range graph.Nodes() {
 			total := 0
 			temp := false
 			for _, r := range n.Regs {
-				total += refs[r]
+				total += int(refs[r])
 				temp = temp || sp.IsTemp(r)
 			}
 			if temp {
@@ -172,20 +180,4 @@ func coloredEvent(fn string, iter int, graph *ig.Graph) *obs.RegionColored {
 	}
 	ev.Colors = len(colors)
 	return ev
-}
-
-// countRefs counts definitions plus uses per register.
-func countRefs(f *ir.Function) map[ir.Reg]int {
-	refs := map[ir.Reg]int{}
-	var buf []ir.Reg
-	for _, in := range f.Instrs {
-		buf = in.Uses(buf[:0])
-		for _, u := range buf {
-			refs[u]++
-		}
-		if d := in.Def(); d != ir.None {
-			refs[d]++
-		}
-	}
-	return refs
 }

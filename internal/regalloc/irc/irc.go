@@ -55,8 +55,22 @@ func Allocate(f *ir.Function, k int, opts Options) error {
 	defer span.End()
 	sp := regalloc.NewSpiller(f)
 	pinned := routeThroughABI(f)
+	// One CFG and liveness, recomputed in place by every rebuild round.
+	var (
+		g  *cfg.Graph
+		lv *dataflow.Liveness
+	)
 	for iter := 0; iter < maxIter; iter++ {
-		a, err := build(f, k, sp, pinned, opts.Trace)
+		stopBuild := opts.Trace.StartTimer("irc.phase.build")
+		var err error
+		g, err = cfg.Rebuild(g, f)
+		if err != nil {
+			stopBuild()
+			return fmt.Errorf("irc: %s: %w", f.Name, err)
+		}
+		lv = dataflow.RecomputeLiveness(lv, g)
+		a, err := build(f, k, sp, pinned, g, lv)
+		stopBuild()
 		if err != nil {
 			return fmt.Errorf("irc: %s: %w", f.Name, err)
 		}
@@ -195,18 +209,11 @@ type allocator struct {
 	scratch    *bitset.Set
 }
 
-// build constructs the interference graph for the current body: CFG,
-// liveness, the classic interference edges (remapped into machine/node
-// id space), caller-save clobber edges at every call, move lists, and
-// the initial worklists.
-func build(f *ir.Function, k int, sp *regalloc.Spiller, pinned map[ir.Reg]int, tr *obs.Tracer) (*allocator, error) {
-	stop := tr.StartTimer("irc.phase.build")
-	defer stop()
-	g, err := cfg.Build(f)
-	if err != nil {
-		return nil, err
-	}
-	lv := dataflow.ComputeLiveness(g)
+// build constructs the interference graph for the current body from its
+// CFG and liveness: the classic interference edges (remapped into
+// machine/node id space), caller-save clobber edges at every call, move
+// lists, and the initial worklists.
+func build(f *ir.Function, k int, sp *regalloc.Spiller, pinned map[ir.Reg]int, g *cfg.Graph, lv *dataflow.Liveness) (*allocator, error) {
 	graph := regalloc.BuildInterference(f, g, lv)
 
 	a := &allocator{f: f, k: k, sp: sp, idOf: map[ir.Reg]int{}}
@@ -303,7 +310,7 @@ func build(f *ir.Function, k int, sp *regalloc.Spiller, pinned map[ir.Reg]int, t
 	}
 
 	// Chaitin spill costs, shared with the other backends.
-	refs := countRefs(f)
+	refs := f.RefCounts(nil)
 	for id := a.k; id < a.n; id++ {
 		r := a.regOf[id]
 		if sp.IsTemp(r) {
@@ -757,20 +764,4 @@ func insertCalleeSaves(f *ir.Function, k int) {
 		}
 	}
 	edit.Apply(f)
-}
-
-// countRefs counts definitions plus uses per register.
-func countRefs(f *ir.Function) map[ir.Reg]int {
-	refs := map[ir.Reg]int{}
-	var buf []ir.Reg
-	for _, in := range f.Instrs {
-		buf = in.Uses(buf[:0])
-		for _, u := range buf {
-			refs[u]++
-		}
-		if d := in.Def(); d != ir.None {
-			refs[d]++
-		}
-	}
-	return refs
 }

@@ -40,7 +40,7 @@ func (a *allocator) calcSpillCosts(V *ir.Region, gv *ig.Graph) {
 			}
 			all := true
 			for _, r := range n.Regs {
-				if c := counts.get(r); c == 0 || a.totalRefs[r] > c {
+				if c := counts.get(r); c == 0 || int(a.totalRefs[r]) > c {
 					all = false
 					break
 				}

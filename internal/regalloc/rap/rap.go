@@ -228,12 +228,21 @@ type allocator struct {
 	// (used by the Fig. 5 "already spilled" rule).
 	spilledIn map[int]map[ir.Reg]bool
 
-	// Analysis state, rebuilt by reanalyze after every code edit.
+	// Analysis state, recomputed in place by reanalyze after every code
+	// edit. totalRefs[r] counts r's references in the whole function.
 	g         *cfg.Graph
 	lv        *dataflow.Liveness
 	du        *dataflow.DefUse
 	spans     []ir.Span
-	totalRefs map[ir.Reg]int
+	totalRefs []int32
+	// jumpers is the label→branch index of the current analysis, built
+	// on first use by labelJumpers.
+	jumpers map[string][]int
+	// defEscapes' walk state: visited[i] == visitGen marks instruction i
+	// seen by the current walk, and stack is its reused worklist.
+	visited  []int32
+	visitGen int32
+	stack    []int
 
 	// Region-memo state (nil unless Options.Memo and still pristine).
 	// hasher fingerprints subtrees against the initial analysis; it is
@@ -265,30 +274,34 @@ type allocator struct {
 	stats Stats
 }
 
-// reanalyze rebuilds the CFG, liveness, def-use chains, region spans and
-// reference counts after the instruction list changed.
+// afterReanalyze, when non-nil, runs at the end of every reanalyze. Only
+// tests set it (export_test.go), to check the recomputed analysis
+// against a fresh one.
+var afterReanalyze func(*allocator)
+
+// reanalyze recomputes the CFG, liveness, def-use tables, region spans
+// and reference counts after the instruction list changed. The first
+// call builds them; later ones recompute into the same storage (every
+// spill round grows the function a little, so the arrays rarely need to
+// grow). Nothing may hold a slice or set of the previous analysis across
+// the call: the parallel walk's join barrier guarantees that no shard is
+// still reading it.
 func (a *allocator) reanalyze() error {
 	defer a.opts.Trace.StartTimer("rap.phase.analyze")()
-	g, err := cfg.Build(a.f)
+	g, err := cfg.Rebuild(a.g, a.f)
 	if err != nil {
 		return fmt.Errorf("rap: %w", err)
 	}
 	a.g = g
-	a.lv = dataflow.ComputeLiveness(g)
-	a.du = dataflow.ComputeDefUse(g)
+	a.lv = dataflow.RecomputeLiveness(a.lv, g)
+	a.du = dataflow.RecomputeDefUse(a.du, g)
 	a.spans = a.f.RegionSpans()
-	a.totalRefs = map[ir.Reg]int{}
-	var buf []ir.Reg
-	for _, in := range a.f.Instrs {
-		buf = in.Uses(buf[:0])
-		for _, u := range buf {
-			a.totalRefs[u]++
-		}
-		if d := in.Def(); d != ir.None {
-			a.totalRefs[d]++
-		}
-	}
+	a.totalRefs = a.f.RefCounts(a.totalRefs)
+	a.jumpers = nil
 	a.scratch.resize(int(a.f.NextReg))
+	if afterReanalyze != nil {
+		afterReanalyze(a)
+	}
 	return nil
 }
 
@@ -437,7 +450,7 @@ func (a *allocator) refsInSpan(span ir.Span) *regCounts {
 // "global to the region" (§3.1: a register is local to a region if all its
 // references are inside).
 func (a *allocator) globalTo(r ir.Reg, inSpan *regCounts) bool {
-	return a.totalRefs[r] > inSpan.get(r)
+	return int(a.totalRefs[r]) > inSpan.get(r)
 }
 
 // emptyRegSet is the shared read-only set empty regions borrow.

@@ -78,9 +78,9 @@ func (a *allocator) spillReg(V *ir.Region, span ir.Span, v ir.Reg, edit *regallo
 	}
 	slot := a.sp.SlotOf(v)
 
-	// Gather v's reference sites before any renaming.
-	defsOfV := append([]int(nil), a.du.Defs[v]...)
-	usesOfV := append([]int(nil), a.du.Uses[v]...)
+	// v's reference sites, as the analysis saw them before any renaming.
+	defsOfV := a.du.Defs(v)
+	usesOfV := a.du.Uses(v)
 
 	// --- V's own code: load before each use, store after each def,
 	// rename (§3.1.4 first step). ---
@@ -222,18 +222,23 @@ func (a *allocator) spillReg(V *ir.Region, span ir.Span, v ir.Reg, edit *regallo
 // redefinitions of v, and checks liveness of v at the first instruction
 // reached outside the span.
 func (a *allocator) defEscapes(d int, v ir.Reg, span ir.Span) bool {
-	visited := make([]bool, len(a.f.Instrs))
-	stack := append([]int(nil), a.g.InstrSuccs[d]...)
+	if n := len(a.f.Instrs); len(a.visited) < n {
+		a.visited = make([]int32, n+n/4)
+	}
+	a.visitGen++
+	escapes := false
+	stack := append(a.stack[:0], a.g.InstrSuccs[d]...)
 	for len(stack) > 0 {
 		j := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if visited[j] {
+		if a.visited[j] == a.visitGen {
 			continue
 		}
-		visited[j] = true
+		a.visited[j] = a.visitGen
 		if !span.Contains(j) {
 			if a.lv.LiveIn[j].Has(int(v)) {
-				return true
+				escapes = true
+				break
 			}
 			continue // v dead on this path; prune
 		}
@@ -242,7 +247,8 @@ func (a *allocator) defEscapes(d int, v ir.Reg, span ir.Span) bool {
 		}
 		stack = append(stack, a.g.InstrSuccs[j]...)
 	}
-	return false
+	a.stack = stack
+	return escapes
 }
 
 // subregionEntryPos finds where code that must run exactly once on entry
@@ -281,8 +287,12 @@ func (a *allocator) subregionEntryPos(sspan ir.Span) (pos int, reexecutes bool) 
 }
 
 // labelJumpers maps each label to the indices of branch instructions
-// targeting it.
+// targeting it. It is built once per analysis: spill insertion renames
+// registers in place but moves no instruction before its edit applies.
 func (a *allocator) labelJumpers() map[string][]int {
+	if a.jumpers != nil {
+		return a.jumpers
+	}
 	m := map[string][]int{}
 	for i, in := range a.f.Instrs {
 		switch in.Op {
@@ -293,6 +303,7 @@ func (a *allocator) labelJumpers() map[string][]int {
 			m[in.Label2] = append(m[in.Label2], i)
 		}
 	}
+	a.jumpers = m
 	return m
 }
 

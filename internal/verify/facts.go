@@ -47,12 +47,12 @@ func fullState(nLocs, nRegs int) *factState {
 	return st
 }
 
-func (st *factState) clone() *factState {
-	cp := &factState{locs: bitset.NewBatch(len(st.locs), st.locs[0].Cap())}
+// copyFrom overwrites st with other's contents; both must have the same
+// shape.
+func (st *factState) copyFrom(other *factState) {
 	for i, s := range st.locs {
-		cp.locs[i].Copy(s)
+		s.Copy(other.locs[i])
 	}
-	return cp
 }
 
 // meet intersects other into st and reports whether st changed.
@@ -302,11 +302,14 @@ func (v *fnVerifier) checkFacts(g *cfg.Graph, al *alignment) {
 			entry.locs[l].Clear()
 		}
 	}
+	// Each block's transfer runs on one scratch state, reloaded from the
+	// block's entry state.
+	st := fullState(nLocs, nRegs)
 	rpo := g.ReversePostorder()
 	for changed := true; changed; {
 		changed = false
 		for _, b := range rpo {
-			st := in[b].clone()
+			st.copyFrom(in[b])
 			blk := g.Blocks[b]
 			for i := blk.Start; i < blk.End; i++ {
 				d.step(st, i, false)
@@ -319,7 +322,7 @@ func (v *fnVerifier) checkFacts(g *cfg.Graph, al *alignment) {
 		}
 	}
 	for _, blk := range g.Blocks {
-		st := in[blk.ID].clone()
+		st.copyFrom(in[blk.ID])
 		for i := blk.Start; i < blk.End; i++ {
 			d.step(st, i, true)
 			if v.full() {
