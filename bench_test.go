@@ -26,6 +26,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/lower"
 	"repro/internal/pdg"
+	"repro/internal/randprog"
 	"repro/internal/regalloc/chaitin"
 	"repro/internal/regalloc/rap"
 	"repro/internal/testutil"
@@ -110,6 +111,21 @@ func BenchmarkAllocRAP(b *testing.B) {
 		_, err := core.Compile(src, core.Config{Allocator: core.AllocRAP, K: 5})
 		return err
 	})
+}
+
+// BenchmarkAllocRAPSpill runs RAP where its Fig. 2 spill rounds
+// dominate: k=3 on one fixed randprog program generated with
+// serve-compile's settings (about 1000 instructions). Its functions take
+// 73 spill rounds in all; clinpack at k=5 takes few.
+func BenchmarkAllocRAPSpill(b *testing.B) {
+	src := randprog.Generate(78, randprog.Config{MaxFuncs: 3, MaxStmtsPerBlock: 5, MaxDepth: 2, Floats: true})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Compile(src, core.Config{Allocator: core.AllocRAP, K: 3}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkFrontEnd(b *testing.B) {

@@ -112,11 +112,11 @@ func TestDefUseChains(t *testing.T) {
 		t.Fatalf("defs/uses counts wrong: %v / %v", du.Defs(1), du.Uses(1))
 	}
 	// First def reaches only the first use (killed by the redefinition).
-	r0 := du.ReachedUses(0, 1)
+	r0 := du.ReachedUses([]int{0}, 1, nil)
 	if len(r0) != 1 || r0[0] != 1 {
 		t.Errorf("def@0 reached %v, want [1]", r0)
 	}
-	r2 := du.ReachedUses(2, 1)
+	r2 := du.ReachedUses([]int{2}, 1, nil)
 	if len(r2) != 1 || r2[0] != 3 {
 		t.Errorf("def@2 reached %v, want [3]", r2)
 	}
@@ -138,7 +138,7 @@ LEnd:
 	printIdx := 8
 	for _, d := range []int{3, 6} {
 		found := false
-		for _, u := range du.ReachedUses(d, 2) {
+		for _, u := range du.ReachedUses([]int{d}, 2, nil) {
 			if u == printIdx {
 				found = true
 			}
@@ -165,7 +165,7 @@ LEnd:
 	ret`)
 	// The add's def of r1 reaches the cmp (next iteration) and the print.
 	addIdx := 7
-	reached := du.ReachedUses(addIdx, 1)
+	reached := du.ReachedUses([]int{addIdx}, 1, nil)
 	wantCmp, wantPrint := false, false
 	for _, u := range reached {
 		if u == 3 {
@@ -179,7 +179,7 @@ LEnd:
 		t.Errorf("loop-carried def reached %v, want cmp@3 and print@10", reached)
 	}
 	// Asking again walks again and must see the print outside the loop.
-	if !slices.Contains(du.ReachedUses(addIdx, 1), 10) {
+	if !slices.Contains(du.ReachedUses([]int{addIdx}, 1, nil), 10) {
 		t.Error("a repeated ReachedUses query should still see the print")
 	}
 }
@@ -191,10 +191,10 @@ func TestUseAndDefSameInstr(t *testing.T) {
 	print r1
 	ret`)
 	// The add both uses and defines r1; the use is of the first def.
-	if got := du.ReachedUses(0, 1); len(got) != 1 || got[0] != 1 {
+	if got := du.ReachedUses([]int{0}, 1, nil); len(got) != 1 || got[0] != 1 {
 		t.Errorf("def@0 reached %v, want [1] (the add)", got)
 	}
-	if got := du.ReachedUses(1, 1); len(got) != 1 || got[0] != 2 {
+	if got := du.ReachedUses([]int{1}, 1, nil); len(got) != 1 || got[0] != 2 {
 		t.Errorf("def@1 reached %v, want [2] (the print)", got)
 	}
 	if !lv.LiveIn[1].Has(1) || !lv.LiveOut[1].Has(1) {

@@ -4,7 +4,6 @@ package dataflow
 
 import (
 	"slices"
-	"sort"
 
 	"repro/internal/bitset"
 	"repro/internal/cfg"
@@ -135,9 +134,10 @@ func RecomputeLiveness(lv *Liveness, g *cfg.Graph) *Liveness {
 }
 
 // DefUse records, for every register, where it is defined and used, and
-// answers which uses each definition reaches. The site tables are dense
-// per register; reaching uses are walked on demand (the allocators only
-// ask about the handful of registers they spill).
+// answers which uses a set of definitions reaches and which definitions
+// reach a set of uses. The site tables are dense per register; both
+// questions are walked on demand (the allocators only ask about the
+// handful of registers they spill).
 type DefUse struct {
 	// NumRegs bounds the registers with site tables: Defs and Uses are
 	// empty for every register at or above it.
@@ -258,13 +258,22 @@ func (du *DefUse) Uses(r ir.Reg) []int {
 	return du.useSites[du.useOff[r]:du.useOff[r+1]:du.useOff[r+1]]
 }
 
-// ReachedUses returns the uses reached by the definition of r at
-// instruction d, ascending: a forward reachability walk from d that stops
-// at redefinitions of r.
-func (du *DefUse) ReachedUses(d int, r ir.Reg) []int {
+// ReachedUses returns the uses of r reached by the definitions of r at
+// the instructions in defs, ascending: one forward walk from all of them
+// that stops at redefinitions of r. The result is the union of every
+// single definition's reached uses.
+//
+// With lv, the liveness of the same code, the walk also stops at every
+// instruction r is not live into. That drops no reached use: a path
+// from a definition to a use it reaches keeps r live all along. lv may
+// be nil.
+func (du *DefUse) ReachedUses(defs []int, r ir.Reg, lv *Liveness) []int {
 	du.gen++
 	var reached []int
-	stack := append(du.stack[:0], du.g.InstrSuccs[d]...)
+	stack := du.stack[:0]
+	for _, d := range defs {
+		stack = append(stack, du.g.InstrSuccs[d]...)
+	}
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -272,6 +281,9 @@ func (du *DefUse) ReachedUses(d int, r ir.Reg) []int {
 			continue
 		}
 		du.visited[i] = du.gen
+		if lv != nil && !lv.LiveIn[i].Has(int(r)) {
+			continue // r dead here: no use ahead before a redefinition
+		}
 		if slices.Contains(du.useFlat[du.useAt[i]:du.useAt[i+1]], r) {
 			reached = append(reached, i)
 		}
@@ -281,8 +293,37 @@ func (du *DefUse) ReachedUses(d int, r ir.Reg) []int {
 		stack = append(stack, du.g.InstrSuccs[i]...)
 	}
 	du.stack = stack
-	sort.Ints(reached)
+	slices.Sort(reached)
 	return reached
+}
+
+// ReachingDefs returns the definitions of r that reach a use of r at one
+// of the instructions in uses, ascending: one backward walk from all of
+// them that stops at definitions of r. A definition is in the result
+// exactly when its ReachedUses meet uses.
+func (du *DefUse) ReachingDefs(uses []int, r ir.Reg) []int {
+	du.gen++
+	var reaching []int
+	stack := du.stack[:0]
+	for _, u := range uses {
+		stack = append(stack, du.g.InstrPreds[u]...)
+	}
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if du.visited[i] == du.gen {
+			continue
+		}
+		du.visited[i] = du.gen
+		if du.defAt[i] == r {
+			reaching = append(reaching, i)
+			continue // the walk ends at the definition
+		}
+		stack = append(stack, du.g.InstrPreds[i]...)
+	}
+	du.stack = stack
+	slices.Sort(reaching)
+	return reaching
 }
 
 // resize returns s with length n, reusing its array when it is large

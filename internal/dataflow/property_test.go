@@ -108,7 +108,7 @@ func TestDefUseConsistency(t *testing.T) {
 					useSet[u] = true
 				}
 				for _, d := range du.Defs(r) {
-					for _, u := range du.ReachedUses(d, r) {
+					for _, u := range du.ReachedUses([]int{d}, r, nil) {
 						if !useSet[u] {
 							return false
 						}

@@ -44,7 +44,7 @@ func TestRecomputeMatchesCompute(t *testing.T) {
 		// Query A's tables first, so B's walk state starts dirty.
 		for r := ir.Reg(0); int(r) < du.NumRegs; r++ {
 			for _, d := range du.Defs(r) {
-				du.ReachedUses(d, r)
+				du.ReachedUses([]int{d}, r, nil)
 			}
 		}
 		gb, err := cfg.Rebuild(ga, b)

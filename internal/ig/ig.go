@@ -9,19 +9,28 @@
 // creation order, adjacency is one bitset row per node (indexed by
 // neighbour id), and the hot operations — edge insertion, Clone, Merge,
 // Combine and the simplify/select colouring — are slice-and-bitset work
-// with no pointer-keyed maps. The Fig. 2 loop (build → colour → spill →
-// combine) runs once per PDG region, so this representation is the
-// hottest code in the pipeline.
+// with no maps. The Fig. 2 loop (build → colour → spill → combine) runs
+// once per PDG region, so this representation is the hottest code in
+// the pipeline.
 //
-// Invariant: an adjacency row only ever holds ids of live nodes. Merge
+// Registers are found without a map either. A small graph (RAP's
+// combined summaries have at most k nodes) searches its nodes' sorted
+// member lists; a larger one indexes its registers in a Table, a slice
+// indexed by register number. A caller that builds many graphs in turn
+// keeps one Table and builds each graph on it (NewOn), so no graph
+// allocates an index of its own.
+//
+// Invariants: an adjacency row only ever holds ids of live nodes (Merge
 // and Remove scrub the dying node's id from every neighbour's row before
-// freeing its slot.
+// freeing its slot), and a graph's Table maps exactly its members to
+// their nodes.
 package ig
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/bitset"
@@ -61,8 +70,8 @@ func (n *Node) Key() ir.Reg {
 
 // Has reports whether r is a member of the node.
 func (n *Node) Has(r ir.Reg) bool {
-	i := sort.Search(len(n.Regs), func(i int) bool { return n.Regs[i] >= r })
-	return i < len(n.Regs) && n.Regs[i] == r
+	_, ok := slices.BinarySearch(n.Regs, r)
+	return ok
 }
 
 // Degree is the number of interfering nodes.
@@ -94,34 +103,111 @@ func (n *Node) AdjNodes() []*Node {
 }
 
 func (n *Node) addReg(r ir.Reg) {
-	i := sort.Search(len(n.Regs), func(i int) bool { return n.Regs[i] >= r })
-	if i < len(n.Regs) && n.Regs[i] == r {
-		return
+	if i, ok := slices.BinarySearch(n.Regs, r); !ok {
+		n.Regs = slices.Insert(n.Regs, i, r)
 	}
-	n.Regs = append(n.Regs, 0)
-	copy(n.Regs[i+1:], n.Regs[i:])
-	n.Regs[i] = r
 }
 
 // Graph is an interference graph.
 type Graph struct {
-	byReg map[ir.Reg]*Node
 	// nodes is the arena, indexed by node id; slots of merged or removed
 	// nodes are nil and ids are never reused within one graph's lifetime.
 	nodes []*Node
 	live  int
+	// tab indexes the members by register; nil while the graph looks
+	// registers up by searching its nodes.
+	tab *Table
 }
 
-// New returns an empty graph.
-func New() *Graph {
-	return &Graph{byReg: map[ir.Reg]*Node{}}
+// tableMin is the node count up to which a graph without a Table
+// searches its nodes' member lists instead of building one.
+const tableMin = 16
+
+// Table maps registers to the nodes of one graph at a time: byReg[r] is
+// the node containing r, nil for registers outside the graph. A graph
+// built on a Table with NewOn uses it until a later graph is built on
+// it; the earlier graph then falls back to searching its nodes, or to a
+// Table of its own once it has more than tableMin nodes. The zero Table
+// is empty and ready to use.
+type Table struct {
+	byReg []*Node
+	owner *Graph
+}
+
+// set records r's node, growing the table to cover r. The table's
+// length is always its capacity, so a grown tail is all nil.
+func (t *Table) set(r ir.Reg, n *Node) {
+	if int(r) >= len(t.byReg) {
+		t.byReg = slices.Grow(t.byReg, int(r)+1-len(t.byReg))
+		t.byReg = t.byReg[:cap(t.byReg)]
+	}
+	t.byReg[r] = n
+}
+
+// New returns an empty graph. It indexes its registers in a Table of its
+// own once it has more than tableMin nodes.
+func New() *Graph { return &Graph{} }
+
+// NewOn returns an empty graph that indexes its registers in t, taking t
+// over from the graph built on it before.
+func NewOn(t *Table) *Graph {
+	g := &Graph{}
+	g.attach(t)
+	return g
+}
+
+// attach makes t g's table: t's previous graph loses it, and t indexes
+// g's members.
+func (g *Graph) attach(t *Table) {
+	if prev := t.owner; prev != nil && prev != g {
+		for _, n := range prev.nodes {
+			if n != nil {
+				for _, r := range n.Regs {
+					t.byReg[r] = nil
+				}
+			}
+		}
+		prev.tab = nil
+	}
+	t.owner = g
+	g.tab = t
+	for _, n := range g.nodes {
+		if n != nil {
+			for _, r := range n.Regs {
+				t.set(r, n)
+			}
+		}
+	}
+}
+
+// index records n as r's node in the graph's table, if it has one.
+func (g *Graph) index(r ir.Reg, n *Node) {
+	if g.tab != nil {
+		g.tab.set(r, n)
+	}
 }
 
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return g.live }
 
 // NodeOf returns the node containing r, or nil.
-func (g *Graph) NodeOf(r ir.Reg) *Node { return g.byReg[r] }
+func (g *Graph) NodeOf(r ir.Reg) *Node {
+	if g.tab == nil {
+		if g.live <= tableMin {
+			for _, n := range g.nodes {
+				if n != nil && n.Has(r) {
+					return n
+				}
+			}
+			return nil
+		}
+		g.attach(&Table{})
+	}
+	if uint(r) < uint(len(g.tab.byReg)) {
+		return g.tab.byReg[r]
+	}
+	return nil
+}
 
 // newNode appends a node to the arena.
 func (g *Graph) newNode(regs []ir.Reg) *Node {
@@ -129,14 +215,14 @@ func (g *Graph) newNode(regs []ir.Reg) *Node {
 	g.nodes = append(g.nodes, n)
 	g.live++
 	for _, r := range regs {
-		g.byReg[r] = n
+		g.index(r, n)
 	}
 	return n
 }
 
 // Ensure returns the node containing r, creating a singleton if needed.
 func (g *Graph) Ensure(r ir.Reg) *Node {
-	if n, ok := g.byReg[r]; ok {
+	if n := g.NodeOf(r); n != nil {
 		return n
 	}
 	return g.newNode([]ir.Reg{r})
@@ -162,7 +248,7 @@ func (g *Graph) AddNodeEdge(na, nb *Node) {
 
 // Interferes reports whether registers a and b are in interfering nodes.
 func (g *Graph) Interferes(a, b ir.Reg) bool {
-	na, nb := g.byReg[a], g.byReg[b]
+	na, nb := g.NodeOf(a), g.NodeOf(b)
 	if na == nil || nb == nil || na == nb {
 		return false
 	}
@@ -177,7 +263,7 @@ func (g *Graph) Nodes() []*Node {
 			out = append(out, n)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	slices.SortFunc(out, func(a, b *Node) int { return cmp.Compare(a.Key(), b.Key()) })
 	return out
 }
 
@@ -198,11 +284,13 @@ func (g *Graph) NodesByID() []*Node {
 
 // Regs returns all member registers in ascending order.
 func (g *Graph) Regs() []ir.Reg {
-	out := make([]ir.Reg, 0, len(g.byReg))
-	for r := range g.byReg {
-		out = append(out, r)
+	var out []ir.Reg
+	for _, n := range g.nodes {
+		if n != nil {
+			out = append(out, n.Regs...)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -214,7 +302,7 @@ func (g *Graph) Merge(a, b *Node) {
 	}
 	for _, r := range b.Regs {
 		a.addReg(r)
-		g.byReg[r] = a
+		g.index(r, a)
 	}
 	b.adj.ForEach(func(id int) {
 		nb := g.nodes[id]
@@ -232,14 +320,14 @@ func (g *Graph) Merge(a, b *Node) {
 // AddRegToNode makes r a member of node n. If r already belongs to a
 // different node, the two nodes are merged into n.
 func (g *Graph) AddRegToNode(n *Node, r ir.Reg) {
-	if existing, ok := g.byReg[r]; ok {
+	if existing := g.NodeOf(r); existing != nil {
 		if existing != n {
 			g.Merge(n, existing)
 		}
 		return
 	}
 	n.addReg(r)
-	g.byReg[r] = n
+	g.index(r, n)
 }
 
 // Remove deletes node n and its edges from the graph.
@@ -247,8 +335,10 @@ func (g *Graph) Remove(n *Node) {
 	n.adj.ForEach(func(id int) {
 		g.nodes[id].adj.Remove(n.id)
 	})
-	for _, r := range n.Regs {
-		delete(g.byReg, r)
+	if g.tab != nil {
+		for _, r := range n.Regs {
+			g.tab.byReg[r] = nil
+		}
 	}
 	g.nodes[n.id] = nil
 	g.live--
@@ -258,26 +348,26 @@ func (g *Graph) Remove(n *Node) {
 // RenameReg replaces register old with new inside its node (used when RAP
 // renames a spilled register within a subregion, §3.1.4).
 func (g *Graph) RenameReg(old, new ir.Reg) {
-	n, ok := g.byReg[old]
-	if !ok {
+	n := g.NodeOf(old)
+	if n == nil {
 		return
 	}
-	delete(g.byReg, old)
-	for i, r := range n.Regs {
-		if r == old {
-			n.Regs[i] = new
-		}
+	i, _ := slices.BinarySearch(n.Regs, old)
+	n.Regs = slices.Delete(n.Regs, i, i+1)
+	j, _ := slices.BinarySearch(n.Regs, new)
+	n.Regs = slices.Insert(n.Regs, j, new)
+	if g.tab != nil {
+		g.tab.byReg[old] = nil
+		g.tab.set(new, n)
 	}
-	sort.Slice(n.Regs, func(i, j int) bool { return n.Regs[i] < n.Regs[j] })
-	g.byReg[new] = n
 }
 
 // Clone returns a deep copy of the graph. Because the arena is dense,
 // this is a slot-for-slot slice copy — node ids are preserved — rather
-// than a pointer-map rebuild.
+// than a pointer-map rebuild. The copy does not share g's Table: it
+// searches, or builds a Table of its own when first looked up in.
 func (g *Graph) Clone() *Graph {
 	cp := &Graph{
-		byReg: make(map[ir.Reg]*Node, len(g.byReg)),
 		nodes: make([]*Node, len(g.nodes)),
 		live:  g.live,
 	}
@@ -295,9 +385,6 @@ func (g *Graph) Clone() *Graph {
 			adj:       *n.adj.Clone(),
 		}
 		cp.nodes[id] = nn
-		for _, r := range nn.Regs {
-			cp.byReg[r] = nn
-		}
 	}
 	return cp
 }
@@ -312,7 +399,7 @@ func (g *Graph) String() string {
 		}
 		var adj []string
 		n.ForEachAdj(func(a *Node) { adj = append(adj, a.Key().String()) })
-		sort.Strings(adj)
+		slices.Sort(adj)
 		flags := ""
 		if n.Global {
 			flags = " global"
@@ -555,24 +642,29 @@ func (g *Graph) Color(k int, globalsDistinct bool) ColorResult {
 func (g *Graph) Combine() *Graph {
 	out := New()
 	nodes := g.Nodes()
-	byColor := map[int]*Node{}
+	maxColor := 0
+	for _, n := range nodes {
+		maxColor = max(maxColor, n.Color)
+	}
+	byColor := make([]*Node, maxColor+1)
 	for _, n := range nodes {
 		if n.Color == 0 {
 			continue
 		}
-		target, ok := byColor[n.Color]
-		if !ok {
+		target := byColor[n.Color]
+		if target == nil {
 			target = out.newNode(append([]ir.Reg(nil), n.Regs...))
 			target.Color = n.Color
 			target.Global = n.Global
 			byColor[n.Color] = target
 		} else {
-			for _, r := range n.Regs {
-				target.addReg(r)
-				out.byReg[r] = target
-			}
+			// Members are disjoint across nodes; they are sorted below.
+			target.Regs = append(target.Regs, n.Regs...)
 			target.Global = target.Global || n.Global
 		}
+	}
+	for _, n := range out.nodes {
+		slices.Sort(n.Regs)
 	}
 	// Edges: combined nodes interfere if any members did.
 	for _, n := range nodes {

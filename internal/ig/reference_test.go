@@ -63,6 +63,92 @@ func (g *refGraph) AddEdge(a, b ir.Reg) {
 	nb.Adj[na] = true
 }
 
+func (g *refGraph) NodeOf(r ir.Reg) *refNode { return g.byReg[r] }
+
+func (n *refNode) sortRegs() {
+	sort.Slice(n.Regs, func(i, j int) bool { return n.Regs[i] < n.Regs[j] })
+}
+
+// Merge folds b into a: membership, adjacency and the global flag.
+func (g *refGraph) Merge(a, b *refNode) {
+	if a == b {
+		return
+	}
+	for _, r := range b.Regs {
+		a.Regs = append(a.Regs, r)
+		g.byReg[r] = a
+	}
+	a.sortRegs()
+	for m := range b.Adj {
+		delete(m.Adj, b)
+		if m != a {
+			a.Adj[m] = true
+			m.Adj[a] = true
+		}
+	}
+	a.Global = a.Global || b.Global
+	delete(g.nodes, b)
+}
+
+// AddRegToNode makes r a member of n, merging r's node into n if r
+// already belongs to another.
+func (g *refGraph) AddRegToNode(n *refNode, r ir.Reg) {
+	if existing, ok := g.byReg[r]; ok {
+		if existing != n {
+			g.Merge(n, existing)
+		}
+		return
+	}
+	n.Regs = append(n.Regs, r)
+	n.sortRegs()
+	g.byReg[r] = n
+}
+
+func (g *refGraph) Remove(n *refNode) {
+	for m := range n.Adj {
+		delete(m.Adj, n)
+	}
+	for _, r := range n.Regs {
+		delete(g.byReg, r)
+	}
+	delete(g.nodes, n)
+}
+
+func (g *refGraph) RenameReg(old, new ir.Reg) {
+	n, ok := g.byReg[old]
+	if !ok {
+		return
+	}
+	delete(g.byReg, old)
+	for i, r := range n.Regs {
+		if r == old {
+			n.Regs[i] = new
+		}
+	}
+	n.sortRegs()
+	g.byReg[new] = n
+}
+
+func (g *refGraph) Clone() *refGraph {
+	cp := newRefGraph()
+	image := map[*refNode]*refNode{}
+	for n := range g.nodes {
+		nn := &refNode{Regs: append([]ir.Reg(nil), n.Regs...), Adj: map[*refNode]bool{},
+			SpillCost: n.SpillCost, Color: n.Color, Global: n.Global}
+		image[n] = nn
+		cp.nodes[nn] = true
+		for _, r := range nn.Regs {
+			cp.byReg[r] = nn
+		}
+	}
+	for n := range g.nodes {
+		for m := range n.Adj {
+			image[n].Adj[image[m]] = true
+		}
+	}
+	return cp
+}
+
 func (g *refGraph) Nodes() []*refNode {
 	out := make([]*refNode, 0, len(g.nodes))
 	for n := range g.nodes {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // RegionKind classifies region nodes of the pdgcc-style region tree.
@@ -312,25 +312,29 @@ func (f *Function) RefCounts(buf []int32) []int32 {
 
 // String renders the function in the textual IR format understood by
 // ParseFunction.
-func (f *Function) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "func %s params=%d locals=%d", f.Name, f.NumParams, f.LocalWords)
+func (f *Function) String() string { return string(f.appendText(nil)) }
+
+// appendText appends the function's textual form, as String returns it,
+// to b.
+func (f *Function) appendText(b []byte) []byte {
+	b = append(append(b, "func "...), f.Name...)
+	b = strconv.AppendInt(append(b, " params="...), int64(f.NumParams), 10)
+	b = strconv.AppendInt(append(b, " locals="...), f.LocalWords, 10)
 	if f.Allocated {
-		fmt.Fprintf(&b, " k=%d spills=%d", f.K, f.SpillSlots)
+		b = strconv.AppendInt(append(b, " k="...), int64(f.K), 10)
+		b = strconv.AppendInt(append(b, " spills="...), int64(f.SpillSlots), 10)
 		if f.ABI {
-			b.WriteString(" abi=1")
+			b = append(b, " abi=1"...)
 		}
 	}
-	b.WriteString("\n")
+	b = append(b, '\n')
 	for _, in := range f.Instrs {
-		if in.Op == OpLabel {
-			fmt.Fprintf(&b, "%s\n", in)
-		} else {
-			fmt.Fprintf(&b, "    %s\n", in)
+		if in.Op != OpLabel {
+			b = append(b, "    "...)
 		}
+		b = append(in.AppendText(b), '\n')
 	}
-	b.WriteString("end\n")
-	return b.String()
+	return append(b, "end\n"...)
 }
 
 // Clone returns a deep copy of the function, including the region tree.
@@ -389,18 +393,20 @@ func (p *Program) Clone() *Program {
 }
 
 func (p *Program) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "globals %d\n", p.GlobalWords)
+	b := strconv.AppendInt([]byte("globals "), p.GlobalWords, 10)
+	b = append(b, '\n')
 	addrs := make([]int64, 0, len(p.GlobalInit))
 	for a := range p.GlobalInit {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 	for _, a := range addrs {
-		fmt.Fprintf(&b, "init %d = %d\n", a, p.GlobalInit[a])
+		b = strconv.AppendInt(append(b, "init "...), a, 10)
+		b = strconv.AppendInt(append(b, " = "...), p.GlobalInit[a], 10)
+		b = append(b, '\n')
 	}
 	for _, f := range p.Funcs {
-		b.WriteString(f.String())
+		b = f.appendText(b)
 	}
-	return b.String()
+	return string(b)
 }

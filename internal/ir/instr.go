@@ -9,10 +9,7 @@
 // as in the paper (§2.1).
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // Reg names a register. Before allocation these are virtual registers
 // numbered from 1; after allocation they are physical registers numbered
@@ -26,7 +23,15 @@ func (r Reg) String() string {
 	if r == None {
 		return "_"
 	}
-	return fmt.Sprintf("r%d", int(r))
+	return "r" + strconv.Itoa(int(r))
+}
+
+// appendReg appends r's textual form (String) to b.
+func appendReg(b []byte, r Reg) []byte {
+	if r == None {
+		return append(b, '_')
+	}
+	return strconv.AppendInt(append(b, 'r'), int64(r), 10)
 }
 
 // Op is an IR opcode.
@@ -146,7 +151,7 @@ func (o Op) String() string {
 	if o >= 0 && o < NumOps {
 		return opNames[o]
 	}
-	return fmt.Sprintf("Op(%d)", int(o))
+	return "Op(" + strconv.Itoa(int(o)) + ")"
 }
 
 // IsBinaryALU reports whether the op reads Src1 and Src2 and writes Dst.
@@ -247,62 +252,78 @@ func (in *Instr) Cycles() int64 {
 }
 
 func (in *Instr) String() string {
+	var buf [64]byte
+	return string(in.AppendText(buf[:0]))
+}
+
+// AppendText appends the instruction's textual form, the syntax
+// ParseFunction reads and String returns, to b. Printing allocated code
+// is on the serve path, so it formats with strconv rather than fmt.
+func (in *Instr) AppendText(b []byte) []byte {
 	switch in.Op {
 	case OpLabel:
-		return in.Label + ":"
-	case OpLoadI:
-		return fmt.Sprintf("loadI %d => %s", in.Imm, in.Dst)
+		return append(append(b, in.Label...), ':')
+	case OpLoadI, OpLea, OpLdSpill, OpGetParam:
+		b = strconv.AppendInt(append(append(b, opNames[in.Op]...), ' '), in.Imm, 10)
+		return appendReg(append(b, " => "...), in.Dst)
 	case OpLoadF:
-		return fmt.Sprintf("loadF %g => %s", in.FImm, in.Dst)
-	case OpLea:
-		return fmt.Sprintf("lea %d => %s", in.Imm, in.Dst)
+		// 'g' with the shortest precision is what fmt's %g prints.
+		b = strconv.AppendFloat(append(b, "loadF "...), in.FImm, 'g', -1, 64)
+		return appendReg(append(b, " => "...), in.Dst)
 	case OpLoad:
-		return fmt.Sprintf("ldm %s => %s", in.Src1, in.Dst)
+		b = appendReg(append(b, "ldm "...), in.Src1)
+		return appendReg(append(b, " => "...), in.Dst)
 	case OpStore:
-		return fmt.Sprintf("stm %s => %s", in.Src1, in.Src2)
+		b = appendReg(append(b, "stm "...), in.Src1)
+		return appendReg(append(b, " => "...), in.Src2)
 	case OpLoadAI:
-		return fmt.Sprintf("loadAI %s, %d => %s", in.Src1, in.Imm, in.Dst)
+		b = appendReg(append(b, "loadAI "...), in.Src1)
+		b = strconv.AppendInt(append(b, ", "...), in.Imm, 10)
+		return appendReg(append(b, " => "...), in.Dst)
 	case OpStoreAI:
-		return fmt.Sprintf("storeAI %s => %s, %d", in.Src1, in.Src2, in.Imm)
-	case OpLdSpill:
-		return fmt.Sprintf("lds %d => %s", in.Imm, in.Dst)
+		b = appendReg(append(b, "storeAI "...), in.Src1)
+		b = appendReg(append(b, " => "...), in.Src2)
+		return strconv.AppendInt(append(b, ", "...), in.Imm, 10)
 	case OpStSpill:
-		return fmt.Sprintf("sts %s => %d", in.Src1, in.Imm)
+		b = appendReg(append(b, "sts "...), in.Src1)
+		return strconv.AppendInt(append(b, " => "...), in.Imm, 10)
 	case OpCBr:
-		return fmt.Sprintf("cbr %s -> %s, %s", in.Src1, in.Label, in.Label2)
+		b = appendReg(append(b, "cbr "...), in.Src1)
+		b = append(append(b, " -> "...), in.Label...)
+		return append(append(b, ", "...), in.Label2...)
 	case OpJump:
-		return fmt.Sprintf("jump -> %s", in.Label)
+		return append(append(b, "jump -> "...), in.Label...)
 	case OpCall:
-		args := make([]string, len(in.Args))
+		b = append(append(append(b, "call "...), in.Callee...), '(')
 		for i, a := range in.Args {
-			args[i] = a.String()
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = appendReg(b, a)
 		}
-		s := fmt.Sprintf("call %s(%s)", in.Callee, strings.Join(args, ", "))
+		b = append(b, ')')
 		if in.Dst != None {
-			s += " => " + in.Dst.String()
+			b = appendReg(append(b, " => "...), in.Dst)
 		}
-		return s
+		return b
 	case OpRet:
 		if in.Src1 == None {
-			return "ret"
+			return append(b, "ret"...)
 		}
-		return fmt.Sprintf("ret %s", in.Src1)
-	case OpPrint:
-		return fmt.Sprintf("print %s", in.Src1)
-	case OpFPrint:
-		return fmt.Sprintf("fprint %s", in.Src1)
-	case OpArg:
-		return fmt.Sprintf("arg %s", in.Src1)
-	case OpGetParam:
-		return fmt.Sprintf("getparam %d => %s", in.Imm, in.Dst)
+		return appendReg(append(b, "ret "...), in.Src1)
+	case OpPrint, OpFPrint, OpArg:
+		return appendReg(append(append(b, opNames[in.Op]...), ' '), in.Src1)
 	}
 	if in.Op.IsBinaryALU() {
-		return fmt.Sprintf("%s %s, %s => %s", in.Op, in.Src1, in.Src2, in.Dst)
+		b = appendReg(append(append(b, opNames[in.Op]...), ' '), in.Src1)
+		b = appendReg(append(b, ", "...), in.Src2)
+		return appendReg(append(b, " => "...), in.Dst)
 	}
 	if in.Op.IsUnaryALU() {
-		return fmt.Sprintf("%s %s => %s", in.Op, in.Src1, in.Dst)
+		b = appendReg(append(append(b, opNames[in.Op]...), ' '), in.Src1)
+		return appendReg(append(b, " => "...), in.Dst)
 	}
-	return fmt.Sprintf("%s?", in.Op)
+	return append(append(b, in.Op.String()...), '?')
 }
 
 // Clone returns a deep copy of the instruction.

@@ -117,6 +117,22 @@ func (t *Tracer) Enabled() bool {
 	return t != nil && (len(t.sinks) > 0 || t.m != nil)
 }
 
+// HasSinks reports whether any sink is attached. A call site whose event
+// is costly to build checks it: with only a metrics registry attached,
+// Count records the event without building it.
+func (t *Tracer) HasSinks() bool {
+	return t != nil && len(t.sinks) > 0
+}
+
+// Count does what Emit does on a tracer without sinks: it increments the
+// "event.<Kind>" counter. ev only names the kind, so a nil pointer of
+// the event's type will do, e.g. Count((*NodeSpilled)(nil)).
+func (t *Tracer) Count(ev Event) {
+	if t != nil && t.m != nil {
+		t.m.Add("event."+ev.Kind(), 1)
+	}
+}
+
 // Emit delivers ev to every sink and counts it in the metrics
 // registry. When the tracer carries a trace tag (WithTag), sinks see
 // the event wrapped in Tagged; the metrics counter stays keyed by the

@@ -234,7 +234,7 @@ func Build(f *ir.Function) (*Graph, error) {
 	seen := map[[3]int]bool{}
 	for r := ir.Reg(1); int(r) < du.NumRegs; r++ {
 		for _, d := range du.Defs(r) {
-			for _, u := range du.ReachedUses(d, r) {
+			for _, u := range du.ReachedUses([]int{d}, r, nil) {
 				from, to := g.blockNode[cg.BlockOf[d]], g.blockNode[cg.BlockOf[u]]
 				k := [3]int{from, to, int(r)}
 				if seen[k] {

@@ -11,7 +11,7 @@ import (
 // add_subregion_conflicts (Fig. 4) to incorporate the subregions' combined
 // graphs.
 func (a *allocator) buildRegionGraph(V *ir.Region) *ig.Graph {
-	gv := ig.New()
+	gv := ig.NewOn(&a.tab)
 	span := a.spans[V.ID]
 	own := a.ownIndices(V)
 
@@ -70,14 +70,21 @@ func (a *allocator) buildRegionGraph(V *ir.Region) *ig.Graph {
 
 	// --- add_subregion_conflicts (Fig. 4) ---
 	subs := V.Children
+	// Each subregion's summary nodes, sorted by key once.
+	subNodes := make([][]*ig.Node, len(subs))
+	for si, s := range subs {
+		if gs := a.graphs[s.ID]; gs != nil {
+			subNodes[si] = gs.Nodes()
+		}
+	}
 	// Vars: registers referenced in V's own code or present in a
 	// subregion's summary graph.
 	vars := a.scratch.getSet()
 	defer a.scratch.putSet(vars)
 	vars.UnionWith(ownRefs)
-	for _, s := range subs {
-		if gs := a.graphs[s.ID]; gs != nil {
-			for _, r := range gs.Regs() {
+	for _, nodes := range subNodes {
+		for _, n := range nodes {
+			for _, r := range n.Regs {
 				vars.Add(int(r))
 			}
 		}
@@ -97,15 +104,17 @@ func (a *allocator) buildRegionGraph(V *ir.Region) *ig.Graph {
 		}
 	})
 	// Step 2: incorporate each subregion's combined graph.
-	for _, s := range subs {
-		gs := a.graphs[s.ID]
-		if gs == nil || gs.NumNodes() == 0 {
+	inSub := a.scratch.getSet()
+	defer a.scratch.putSet(inSub)
+	for si, s := range subs {
+		nodes := subNodes[si]
+		if len(nodes) == 0 {
 			continue
 		}
 		// Merge the subregion's nodes into gv. A subregion node may hold
 		// several registers that were combined (allocated one register
 		// within the subregion); they stay together at the parent level.
-		for _, n := range gs.Nodes() {
+		for _, n := range nodes {
 			target := gv.Ensure(n.Regs[0])
 			for _, r := range n.Regs[1:] {
 				gv.AddRegToNode(target, r)
@@ -114,7 +123,7 @@ func (a *allocator) buildRegionGraph(V *ir.Region) *ig.Graph {
 		// Resolve a subregion node to its (possibly merged) image in gv.
 		resolve := func(n *ig.Node) *ig.Node { return gv.NodeOf(n.Regs[0]) }
 		// Subregion edges carry over.
-		for _, n := range gs.Nodes() {
+		for _, n := range nodes {
 			rn := resolve(n)
 			n.ForEachAdj(func(adj *ig.Node) {
 				gv.AddNodeEdge(rn, resolve(adj))
@@ -123,14 +132,19 @@ func (a *allocator) buildRegionGraph(V *ir.Region) *ig.Graph {
 		// Fig. 4's live-in rule: a register live on entrance to the
 		// subregion but not referenced in it interferes with every node
 		// of the subregion's graph.
+		inSub.Clear()
+		for _, n := range nodes {
+			for _, r := range n.Regs {
+				inSub.Add(int(r))
+			}
+		}
 		liveInSub := a.liveAtEntry(s)
 		vars.ForEach(func(ri int) {
-			vk := ir.Reg(ri)
-			if gs.NodeOf(vk) != nil || !liveInSub.Has(ri) {
+			if !liveInSub.Has(ri) || inSub.Has(ri) {
 				return
 			}
-			nk := gv.Ensure(vk)
-			for _, n := range gs.Nodes() {
+			nk := gv.Ensure(ir.Reg(ri))
+			for _, n := range nodes {
 				gv.AddNodeEdge(nk, resolve(n))
 			}
 		})
@@ -139,12 +153,10 @@ func (a *allocator) buildRegionGraph(V *ir.Region) *ig.Graph {
 	// Mark nodes containing a register global to V (referenced outside
 	// the region): these may never share a colour with another global
 	// node (§3.1.3).
-	inSpan := a.refsInSpan(span)
-	defer a.scratch.putCounts(inSpan)
-	for _, n := range gv.Nodes() {
+	for _, n := range gv.NodesByID() {
 		n.Global = false
 		for _, r := range n.Regs {
-			if a.globalTo(r, inSpan) {
+			if a.globalTo(r, span) {
 				n.Global = true
 				break
 			}

@@ -25,29 +25,26 @@ func (a *allocator) calcSpillCosts(V *ir.Region, gv *ig.Graph) {
 	nodes := gv.Nodes()
 	spilled := a.spilledIn[V.ID]
 
-	// Subregion-locality rule, one child at a time so a single counts
-	// scratch buffer serves every child.
+	// Subregion-locality rule.
 	local := make([]bool, len(nodes))
 	for _, s := range V.Children {
 		span := a.spans[s.ID]
 		if span.Empty() {
 			continue
 		}
-		counts := a.refsInSpan(span)
 		for ni, n := range nodes {
 			if local[ni] {
 				continue
 			}
 			all := true
 			for _, r := range n.Regs {
-				if c := counts.get(r); c == 0 || int(a.totalRefs[r]) > c {
+				if !a.localTo(r, span) {
 					all = false
 					break
 				}
 			}
 			local[ni] = all
 		}
-		a.scratch.putCounts(counts)
 	}
 
 	// Infinite-cost rules.

@@ -243,6 +243,11 @@ type allocator struct {
 	visited  []int32
 	visitGen int32
 	stack    []int
+	// sites is spillReg's reused list of a register's sites in V.
+	sites []int
+	// tab is the register index lent to each region graph as it is
+	// built; the graph built last holds it.
+	tab ig.Table
 
 	// Region-memo state (nil unless Options.Memo and still pristine).
 	// hasher fingerprints subtrees against the initial analysis; it is
@@ -331,8 +336,11 @@ func (a *allocator) allocateRegion(V *ir.Region) error {
 				m.ObserveVal("rap.region.iters", int64(iter)+1)
 				m.ObserveVal("rap.region.nodes", int64(gv.NumNodes()))
 			}
-			if a.opts.Trace.Enabled() {
+			// The payload names every register: build it only for a sink.
+			if a.opts.Trace.HasSinks() {
 				a.opts.Trace.Emit(regionColoredEvent(a.f.Name, V, iter, gv))
+			} else {
+				a.opts.Trace.Count((*obs.RegionColored)(nil))
 			}
 			if isEntry {
 				a.graphs[V.ID] = gv
@@ -353,6 +361,10 @@ func (a *allocator) allocateRegion(V *ir.Region) error {
 		}
 		if a.opts.Trace.Enabled() {
 			for _, n := range res.Spilled {
+				if !a.opts.Trace.HasSinks() {
+					a.opts.Trace.Count((*obs.NodeSpilled)(nil))
+					continue
+				}
 				a.opts.Trace.Emit(&obs.NodeSpilled{
 					Func: a.f.Name, Region: V.ID, Iter: iter,
 					Regs: regNames(n.Regs), Cost: n.SpillCost,
@@ -431,26 +443,22 @@ func (a *allocator) refsAt(i int, buf []ir.Reg) []ir.Reg {
 	return buf
 }
 
-// refsInSpan counts, for every register, its references within span.
-// The counter comes from the allocator's scratch pool; the caller
-// returns it with putCounts when done.
-func (a *allocator) refsInSpan(span ir.Span) *regCounts {
-	counts := a.scratch.getCounts()
-	var buf []ir.Reg
-	for i := span.Start; i < span.End; i++ {
-		buf = a.refsAt(i, buf[:0])
-		for _, r := range buf {
-			counts.inc(r)
-		}
-	}
-	return counts
-}
-
 // globalTo reports whether r has references outside span — the paper's
 // "global to the region" (§3.1: a register is local to a region if all its
-// references are inside).
-func (a *allocator) globalTo(r ir.Reg, inSpan *regCounts) bool {
-	return int(a.totalRefs[r]) > inSpan.get(r)
+// references are inside). r's sites ascend, so only the first and last
+// of each kind can lie outside.
+func (a *allocator) globalTo(r ir.Reg, span ir.Span) bool {
+	for _, sites := range [2][]int{a.du.Uses(r), a.du.Defs(r)} {
+		if len(sites) > 0 && (sites[0] < span.Start || sites[len(sites)-1] >= span.End) {
+			return true
+		}
+	}
+	return false
+}
+
+// localTo reports whether r is referenced, and only inside span.
+func (a *allocator) localTo(r ir.Reg, span ir.Span) bool {
+	return (len(a.du.Uses(r)) > 0 || len(a.du.Defs(r)) > 0) && !a.globalTo(r, span)
 }
 
 // emptyRegSet is the shared read-only set empty regions borrow.

@@ -1,19 +1,15 @@
 package rap
 
-import (
-	"repro/internal/bitset"
-	"repro/internal/ir"
-)
+import "repro/internal/bitset"
 
 // regScratch is the allocator's reusable dense scratch for the
-// per-region helper sets (liveAtExit, usedIn, definedIn, the own-refs
-// and vars sets of the graph build) and reference counts (refsInSpan).
-// These used to be map[ir.Reg]bool / map[ir.Reg]int allocated fresh for
-// every region of every build/colour/spill iteration — the hottest
-// allocation sites in the walk. Registers are dense small integers, so
-// a bitset (whose ForEach iterates ascending, giving the deterministic
-// order the maps needed sortRegs for) and a flat count slice with a
-// dirty list do the same job with no per-region allocation after
+// per-region helper sets (liveAtExit, usedIn, definedIn, the own-refs,
+// vars and subregion-member sets of the graph build). These used to be
+// map[ir.Reg]bool allocated fresh for every region of every
+// build/colour/spill iteration — the hottest allocation sites in the
+// walk. Registers are dense small integers, so a bitset (whose ForEach
+// iterates ascending, giving the deterministic order the maps needed
+// sortRegs for) does the same job with no per-region allocation after
 // warm-up.
 //
 // Scratch is per-allocator state: every speculative shard forks with
@@ -22,9 +18,8 @@ import (
 type regScratch struct {
 	// n is the current register universe size (ir.Function.NextReg),
 	// refreshed by reanalyze after every code edit.
-	n      int
-	sets   []*bitset.Set
-	counts []*regCounts
+	n    int
+	sets []*bitset.Set
 }
 
 // resize records the register universe size buffers must cover. Pooled
@@ -46,52 +41,3 @@ func (s *regScratch) getSet() *bitset.Set {
 
 // putSet returns a checked-out bitset to the pool.
 func (s *regScratch) putSet(b *bitset.Set) { s.sets = append(s.sets, b) }
-
-// regCounts is a dense per-register counter with a dirty list, so
-// resetting costs O(touched) rather than O(universe).
-type regCounts struct {
-	cnt   []int32
-	dirty []ir.Reg
-}
-
-// inc increments r's count, growing past the declared universe if needed
-// (mirroring bitset.Set's range tolerance).
-func (c *regCounts) inc(r ir.Reg) {
-	for int(r) >= len(c.cnt) {
-		c.cnt = append(c.cnt, 0)
-	}
-	if c.cnt[r] == 0 {
-		c.dirty = append(c.dirty, r)
-	}
-	c.cnt[r]++
-}
-
-// get returns r's count; registers outside the universe count zero.
-func (c *regCounts) get(r ir.Reg) int {
-	if int(r) >= len(c.cnt) {
-		return 0
-	}
-	return int(c.cnt[r])
-}
-
-// getCounts checks a zeroed counter out of the pool.
-func (s *regScratch) getCounts() *regCounts {
-	var c *regCounts
-	if len(s.counts) == 0 {
-		c = &regCounts{}
-	} else {
-		c = s.counts[len(s.counts)-1]
-		s.counts = s.counts[:len(s.counts)-1]
-		for _, r := range c.dirty {
-			c.cnt[r] = 0
-		}
-		c.dirty = c.dirty[:0]
-	}
-	for len(c.cnt) < s.n {
-		c.cnt = append(c.cnt, 0)
-	}
-	return c
-}
-
-// putCounts returns a counter to the pool (reset happens on checkout).
-func (s *regScratch) putCounts(c *regCounts) { s.counts = append(s.counts, c) }

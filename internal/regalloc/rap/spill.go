@@ -1,7 +1,7 @@
 package rap
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/ig"
 	"repro/internal/ir"
@@ -78,13 +78,14 @@ func (a *allocator) spillReg(V *ir.Region, span ir.Span, v ir.Reg, edit *regallo
 	}
 	slot := a.sp.SlotOf(v)
 
-	// v's reference sites, as the analysis saw them before any renaming.
-	defsOfV := a.du.Defs(v)
-	usesOfV := a.du.Uses(v)
+	// v's reference sites in V, as the analysis saw them before any
+	// renaming. Sites ascend and spans are intervals, so the sites in V
+	// and in each subregion are one run each.
+	spanUses := sitesIn(a.du.Uses(v), span)
+	spanDefs := sitesIn(a.du.Defs(v), span)
 
 	// --- V's own code: load before each use, store after each def,
 	// rename (§3.1.4 first step). ---
-	own := a.ownIndices(V)
 	var vP ir.Reg = ir.None
 	ensureVP := func() ir.Reg {
 		if vP == ir.None {
@@ -93,8 +94,12 @@ func (a *allocator) spillReg(V *ir.Region, span ir.Span, v ir.Reg, edit *regallo
 		}
 		return vP
 	}
-	for _, i := range own {
+	a.sites = mergeSites(a.sites[:0], spanUses, spanDefs)
+	for _, i := range a.sites {
 		in := a.f.Instrs[i]
+		if in.Region != V.ID {
+			continue // a subregion's site
+		}
 		usedHere := false
 		in.RewriteUses(func(r ir.Reg) ir.Reg {
 			if r != v {
@@ -118,43 +123,28 @@ func (a *allocator) spillReg(V *ir.Region, span ir.Span, v ir.Reg, edit *regallo
 		if sspan.Empty() {
 			continue
 		}
-		var refIdx []int
-		usedInSub := false
-		for _, u := range usesOfV {
-			if sspan.Contains(u) {
-				refIdx = append(refIdx, u)
-				usedInSub = true
-			}
-		}
-		var subDefs []int
-		for _, d := range defsOfV {
-			if sspan.Contains(d) {
-				refIdx = append(refIdx, d)
-				subDefs = append(subDefs, d)
-			}
-		}
-		if len(refIdx) == 0 {
+		subUses := sitesIn(spanUses, sspan)
+		subDefs := sitesIn(spanDefs, sspan)
+		if len(subUses) == 0 && len(subDefs) == 0 {
 			continue
 		}
-		sort.Ints(refIdx)
-		// Rename v throughout the subregion, and in its summary graph so
-		// the next build of V's graph sees the new name.
+		// Rename v at its sites in the subregion, and in the subregion's
+		// summary graph so the next build of V's graph sees the new name.
 		vR := a.f.NewReg()
 		a.sp.Rename(v, vR)
 		if gs := a.graphs[s.ID]; gs != nil {
 			gs.RenameReg(v, vR)
 		}
-		for i := sspan.Start; i < sspan.End; i++ {
-			in := a.f.Instrs[i]
-			in.RewriteUses(func(r ir.Reg) ir.Reg {
+		for _, i := range subUses {
+			a.f.Instrs[i].RewriteUses(func(r ir.Reg) ir.Reg {
 				if r == v {
 					return vR
 				}
 				return r
 			})
-			if in.Def() == v {
-				in.SetDef(vR)
-			}
+		}
+		for _, d := range subDefs {
+			a.f.Instrs[d].SetDef(vR)
 		}
 		// Load at the subregion's entrance if v is live into it. For a
 		// loop subregion the entrance is *before* the loop header label,
@@ -162,7 +152,7 @@ func (a *allocator) spillReg(V *ir.Region, span ir.Span, v ir.Reg, edit *regallo
 		// value around the back edge — the paper's "load before the first
 		// use in the subregion".
 		pos, reexecutes := a.subregionEntryPos(sspan)
-		if usedInSub && a.liveAtEntry(s).Has(int(v)) {
+		if len(subUses) > 0 && a.liveAtEntry(s).Has(int(v)) {
 			a.loadBefore(edit, pos, vR, slot)
 		}
 		// Store after each definition whose value is needed outside the
@@ -181,46 +171,53 @@ func (a *allocator) spillReg(V *ir.Region, span ir.Span, v ir.Reg, edit *regallo
 
 	// --- Recursive fixup outside the region. ---
 	// Uses outside V reached by definitions inside V must load from the
-	// slot (the in-region value now flows through memory only).
-	needStore := map[int]bool{}
-	needLoad := map[int]bool{}
-	for _, d := range defsOfV {
-		if !span.Contains(d) {
-			continue
-		}
-		for _, u := range a.du.ReachedUses(d, v) {
-			if !span.Contains(u) {
-				needLoad[u] = true
-			}
-		}
-	}
-	// Every definition reaching a loaded use must store (including
-	// definitions outside V; in-region definitions already got stores).
-	for _, d := range defsOfV {
-		if span.Contains(d) {
-			continue
-		}
-		for _, u := range a.du.ReachedUses(d, v) {
-			if needLoad[u] || span.Contains(u) {
-				// The definition's value flows into the region or into a
-				// loaded use; it must be in memory.
-				needStore[d] = true
-				break
-			}
-		}
-	}
-	for _, d := range sortedKeys(needStore) {
+	// slot (the in-region value now flows through memory only): one
+	// forward walk from all of V's definitions, stopping where v is dead.
+	loads := slices.DeleteFunc(a.du.ReachedUses(spanDefs, v, a.lv), span.Contains)
+	// Every definition outside V whose value reaches a loaded use or a
+	// use inside V must store (in-region definitions already got
+	// stores): one backward walk from those uses.
+	targets := append(loads[:len(loads):len(loads)], spanUses...)
+	stores := slices.DeleteFunc(a.du.ReachingDefs(targets, v), span.Contains)
+	for _, d := range stores {
 		a.storeAfter(edit, d, v, slot)
 	}
-	for _, u := range sortedKeys(needLoad) {
+	for _, u := range loads {
 		a.loadBefore(edit, u, v, slot)
 	}
 }
 
-// defEscapes reports whether the value defined for v at instruction d is
-// live on some edge leaving span: it walks forward from d, stopping at
-// redefinitions of v, and checks liveness of v at the first instruction
-// reached outside the span.
+// sitesIn returns the run of the ascending instruction indices sites
+// that lies in span.
+func sitesIn(sites []int, span ir.Span) []int {
+	lo, _ := slices.BinarySearch(sites, span.Start)
+	hi, _ := slices.BinarySearch(sites[lo:], span.End)
+	return sites[lo : lo+hi]
+}
+
+// mergeSites appends the union of the ascending index lists x and y to
+// dst, ascending and without duplicates.
+func mergeSites(dst, x, y []int) []int {
+	for len(x) > 0 && len(y) > 0 {
+		switch {
+		case x[0] < y[0]:
+			dst, x = append(dst, x[0]), x[1:]
+		case y[0] < x[0]:
+			dst, y = append(dst, y[0]), y[1:]
+		default:
+			dst, x, y = append(dst, x[0]), x[1:], y[1:]
+		}
+	}
+	dst = append(dst, x...)
+	return append(dst, y...)
+}
+
+// defEscapes reports whether the value defined for v at instruction d
+// may be live on some edge leaving span: it walks forward from d through
+// the span and checks liveness of v at the first instruction reached
+// outside it. The caller has already renamed v's definitions in the
+// span, so the walk does not stop at them: a definition counts as
+// escaping whenever some path from it leaves the span where v is live.
 func (a *allocator) defEscapes(d int, v ir.Reg, span ir.Span) bool {
 	if n := len(a.f.Instrs); len(a.visited) < n {
 		a.visited = make([]int32, n+n/4)
@@ -241,9 +238,6 @@ func (a *allocator) defEscapes(d int, v ir.Reg, span ir.Span) bool {
 				break
 			}
 			continue // v dead on this path; prune
-		}
-		if a.f.Instrs[j].Def() == v {
-			continue // killed
 		}
 		stack = append(stack, a.g.InstrSuccs[j]...)
 	}
@@ -305,13 +299,4 @@ func (a *allocator) labelJumpers() map[string][]int {
 	}
 	a.jumpers = m
 	return m
-}
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -100,10 +100,11 @@ func sameSet(name string, i int, got, want *bitset.Set) error {
 	return nil
 }
 
-// SameDefUse returns an error naming the first register whose Defs, Uses
-// or reached uses (from each of its definitions) differ between got and
-// want. Reached uses are compared for the registers reach selects, or
-// for every register when reach is nil.
+// SameDefUse returns an error naming the first register whose Defs,
+// Uses, reached uses (from each of its definitions) or reaching
+// definitions (of all its uses) differ between got and want. The walks
+// are compared for the registers reach selects, or for every register
+// when reach is nil.
 func SameDefUse(got, want *dataflow.DefUse, reach func(ir.Reg) bool) error {
 	if got.NumRegs != want.NumRegs {
 		return fmt.Errorf("NumRegs = %d, want %d", got.NumRegs, want.NumRegs)
@@ -119,9 +120,12 @@ func SameDefUse(got, want *dataflow.DefUse, reach func(ir.Reg) bool) error {
 			continue
 		}
 		for _, d := range want.Defs(r) {
-			if g, w := got.ReachedUses(d, r), want.ReachedUses(d, r); !slices.Equal(g, w) {
+			if g, w := got.ReachedUses([]int{d}, r, nil), want.ReachedUses([]int{d}, r, nil); !slices.Equal(g, w) {
 				return fmt.Errorf("ReachedUses(%d, %s) = %v, want %v", d, r, g, w)
 			}
+		}
+		if g, w := got.ReachingDefs(want.Uses(r), r), want.ReachingDefs(want.Uses(r), r); !slices.Equal(g, w) {
+			return fmt.Errorf("ReachingDefs(uses of %s) = %v, want %v", r, g, w)
 		}
 	}
 	return nil

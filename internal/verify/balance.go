@@ -35,7 +35,7 @@ func (v *fnVerifier) checkBalance(g *cfg.Graph) {
 		if in.Op != ir.OpLdSpill || stored[in.Imm] {
 			continue
 		}
-		for _, u := range du.ReachedUses(i, in.Dst) {
+		for _, u := range du.ReachedUses([]int{i}, in.Dst, nil) {
 			use := v.alloc.Instrs[u]
 			if use.Op == ir.OpStSpill && use.Imm == in.Imm {
 				continue // storing the slot's own value back is balanced
