@@ -12,7 +12,6 @@
 //	rapbench -json out.json      # machine-readable record ("rap/bench/v1")
 //	rapbench -parallel 4         # bound the (program,k) worker pool
 //	rapbench -store /tmp/rap     # cold/warm double-run against a persistent region-memo store
-//	rapbench -intra-parallel -cpus 1,2,4,8   # multi-core sweep of RAP's intra-function walk
 //	rapbench -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
@@ -37,22 +36,18 @@ import (
 
 func main() {
 	var (
-		only         = flag.String("only", "", "comma-separated benchmark programs (default: all)")
-		ksFlag       = flag.String("ks", "3,5,7,9", "register set sizes")
-		merge        = flag.Bool("merge-stmts", false, "merge per-statement regions (ablation)")
-		ablate       = flag.Bool("ablate", false, "compare RAP phase ablations")
-		verify       = flag.Bool("verify", false, "statically verify every allocation against the unallocated reference while measuring")
-		csvOut       = flag.String("csv", "", "also write the rows as CSV to this file")
-		jsonOut      = flag.String("json", "", "write the Table 1 rows plus per-(program,k) wall clock as JSON (schema rap/bench/v1) to this file")
-		cpuProf      = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf      = flag.String("memprofile", "", "write a heap profile to this file")
-		suite        = flag.String("suite", "paper", "benchmark set: paper (Table 1 rows) or extended (adds bubble/quick/mm/whetstone/ackermann)")
-		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for the (program,k) comparison units; 1 = sequential (output is identical either way)")
-		storeDir     = flag.String("store", "", "run the suite twice (cold, then warm) against a persistent artifact store in this directory and report hit rates; -json writes the rap/bench-store/v1 record")
-		intraSweep   = flag.Bool("intra-parallel", false, "sweep RAP's intra-function parallel walk over the -cpus GOMAXPROCS values, asserting parallel output byte-identical to sequential; -json writes the rap/bench-intra/v1 record")
-		cpusFlag     = flag.String("cpus", "1,2,4,8", "GOMAXPROCS values for the -intra-parallel sweep")
-		intraRepeat  = flag.Int("intra-repeat", 5, "timed repetitions per -intra-parallel point (best is reported)")
-		intraWorkers = flag.Int("intra-workers", 0, "rap.Options.IntraParallel for the Table 1 run (0 or 1 = sequential; results are identical either way)")
+		only     = flag.String("only", "", "comma-separated benchmark programs (default: all)")
+		ksFlag   = flag.String("ks", "3,5,7,9", "register set sizes")
+		merge    = flag.Bool("merge-stmts", false, "merge per-statement regions (ablation)")
+		ablate   = flag.Bool("ablate", false, "compare RAP phase ablations")
+		verify   = flag.Bool("verify", false, "statically verify every allocation against the unallocated reference while measuring")
+		csvOut   = flag.String("csv", "", "also write the rows as CSV to this file")
+		jsonOut  = flag.String("json", "", "write the Table 1 rows plus per-(program,k) wall clock as JSON (schema rap/bench/v1) to this file")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile to this file")
+		suite    = flag.String("suite", "paper", "benchmark set: paper (Table 1 rows) or extended (adds bubble/quick/mm/whetstone/ackermann)")
+		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for the (program,k) comparison units; 1 = sequential (output is identical either way)")
+		storeDir = flag.String("store", "", "run the suite twice (cold, then warm) against a persistent artifact store in this directory and report hit rates; -json writes the rap/bench-store/v1 record")
 	)
 	flag.Parse()
 	// Ctrl-C (or a CI job cancellation) stops pending and in-flight
@@ -94,31 +89,6 @@ func main() {
 		}
 	}()
 
-	if *intraSweep {
-		cpus, err := core.ParseKs(*cpusFlag)
-		if err != nil {
-			fatal(fmt.Errorf("-cpus: %w", err))
-		}
-		rep, err := bench.RunIntraBench(ctx, bench.IntraConfig{
-			CPUs: cpus, Ks: ks, Repeat: *intraRepeat, Only: names,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(bench.FormatIntra(rep))
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			if err := bench.WriteIntraJSON(f, rep); err != nil {
-				fatal(err)
-			}
-		}
-		return
-	}
-
 	if *ablate {
 		runAblation(ctx, ks, names, *parallel, *verify)
 		return
@@ -131,7 +101,6 @@ func main() {
 		fatal(fmt.Errorf("unknown -suite %q", *suite))
 	}
 	cfg := core.CompareConfig{Lower: lower.Options{MergeStatements: *merge}, Parallel: *parallel, Verify: *verify}
-	cfg.RAP.IntraParallel = *intraWorkers
 	cfg.Trace = debugTracer()
 	if *storeDir != "" {
 		runStoreBench(ctx, *storeDir, progs, ks, cfg, *jsonOut, names)

@@ -58,7 +58,6 @@ func main() {
 		traceOut   = flag.String("trace-out", "", "write allocation/pipeline events as JSON lines to this file")
 		metricsOut = flag.String("metrics", "", "write the pipeline metrics snapshot (schema rap/metrics/v2) as JSON to this file")
 		explain    = flag.String("explain", "", "print the named virtual register's allocation history (e.g. r7) and exit")
-		intraPar   = flag.Int("intra-parallel", 0, "worker pool for RAP's intra-function parallel walk (0 or 1 = sequential; results are identical either way)")
 		fingerFlag = flag.Bool("fingerprint", false, "print each function's canonical hash and per-region subtree hashes (the incremental memo's cache keys) and exit")
 	)
 	flag.Parse()
@@ -155,7 +154,7 @@ func main() {
 		RAPNoMotion:   *noMotion,
 		RAPNoPeephole: *noPeep,
 	}
-	opts := serve.ExecOptions{Tracer: tracer, IntraParallel: *intraPar}
+	opts := serve.ExecOptions{Tracer: tracer}
 	if *trace {
 		opts.InstrTrace = os.Stderr
 	}

@@ -64,7 +64,6 @@ func main() {
 		storeMax   = flag.Int64("store-max-bytes", 0, "size bound for the persistent store before GC by access time (0 = 64 MiB)")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 		slowJob    = flag.Duration("slow-job", 0, "log a structured line to stderr for any job slower than this (0 = disabled)")
-		intraPar   = flag.Int("intra-parallel", 0, "worker pool for RAP's intra-function parallel walk (0 or 1 = sequential; results are identical either way)")
 		peers      = flag.String("peers", "", "comma-separated base URLs of ring peers (this worker excluded); on a local cache/memo miss their artifact stores are consulted before recomputing")
 		peerWait   = flag.Duration("peer-timeout", 250*time.Millisecond, "per-request budget for one peer artifact fetch")
 	)
@@ -152,7 +151,6 @@ func main() {
 		Store:            st,
 		SlowJobThreshold: *slowJob,
 		SlowJobLog:       os.Stderr,
-		IntraParallel:    *intraPar,
 		Peers:            peerSrc,
 	})
 

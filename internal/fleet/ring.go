@@ -6,12 +6,12 @@
 //
 // The routing key is the job's cache key (serve.Job.CacheKey — a
 // SHA-256 over the source text and every result-determining pipeline
-// option, salted by k and the allocator configuration, excluding
-// output-neutral knobs like IntraParallel). Using the cache key as the
-// ring key is what makes the fleet's caches compose: every resubmission
-// of the same work lands on the worker that already holds the result,
-// so the fleet-wide hit rate approaches the single-node hit rate
-// without any shared mutable state. See DESIGN.md §"Fleet".
+// option, salted by k and the allocator configuration, excluding the
+// job's ID and timeout). Using the cache key as the ring key is what
+// makes the fleet's caches compose: every resubmission of the same work
+// lands on the worker that already holds the result, so the fleet-wide
+// hit rate approaches the single-node hit rate without any shared
+// mutable state. See DESIGN.md §"Fleet".
 package fleet
 
 import (

@@ -95,7 +95,6 @@ func newTestAllocator(t *testing.T, f *ir.Function, k int) *allocator {
 		sp:        regalloc.NewSpiller(f),
 		graphs:    map[int]*ig.Graph{},
 		spilledIn: map[int]map[ir.Reg]bool{},
-		scratch:   &regScratch{},
 	}
 	if err := a.reanalyze(); err != nil {
 		t.Fatal(err)

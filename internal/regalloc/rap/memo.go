@@ -285,17 +285,15 @@ func (a *allocator) memoLookup(V *ir.Region) (*ig.Graph, bool) {
 	defer a.opts.Trace.StartTimer("rap.phase.memo")()
 	key := a.hasher.Region(V)
 	a.memoKeys[V.ID] = key
-	data, ok := a.memoGet(key.Fp.String())
-	if !ok {
-		a.memoMiss(key.Fp.String())
-		return nil, false
+	data, ok := a.opts.Memo.Get(key.Fp.String())
+	var g *ig.Graph
+	if ok {
+		g, ok = decodeSummary(data, &key, a.k)
 	}
-	g, ok := decodeSummary(data, &key, a.k)
 	if !ok {
-		// A corrupt or stale artifact counts as a missed key too: the
-		// sequential walk would re-record over it, and a sibling doing so
-		// during this batch must invalidate this shard's speculation.
-		a.memoMiss(key.Fp.String())
+		// A corrupt or stale artifact counts as a miss too: the
+		// allocation re-records over it.
+		a.stats.MemoMisses++
 		return nil, false
 	}
 	a.stats.MemoHits++
@@ -323,37 +321,7 @@ func (a *allocator) memoRecord(V *ir.Region, sum *ig.Graph) {
 	if !ok {
 		return
 	}
-	if a.speculative {
-		// Speculative shards never write the store: puts buffer on the
-		// shard's pending chain and reach the store — counting MemoStores
-		// there — only when the deterministic join commits the shard.
-		a.pending.put(key.Fp.String(), data)
-		return
-	}
 	if a.opts.Memo.Put(key.Fp.String(), data) == nil {
 		a.stats.MemoStores++
-	}
-}
-
-// memoGet reads through this allocator's pending-put chain (non-empty
-// only under speculation) before the real store, so a shard observes its
-// own deferred stores exactly as the sequential walk would observe real
-// ones.
-func (a *allocator) memoGet(key string) ([]byte, bool) {
-	if a.pending != nil {
-		if v, ok := a.pending.get(key); ok {
-			return v, true
-		}
-	}
-	return a.opts.Memo.Get(key)
-}
-
-// memoMiss counts a failed lookup and, under speculation, records the key
-// so the join can detect that an earlier-committed sibling stored it —
-// which invalidates this shard's miss (see allocator.invalidated).
-func (a *allocator) memoMiss(key string) {
-	a.stats.MemoMisses++
-	if a.speculative {
-		a.missed = append(a.missed, key)
 	}
 }

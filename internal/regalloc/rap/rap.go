@@ -69,18 +69,6 @@ type Options struct {
 	// recorded, and all memoization stops at the function's first spill
 	// edit, so memoized allocations are byte-identical to cold ones.
 	Memo Memo
-	// IntraParallel bounds the worker pool the bottom-up walk (Fig. 2)
-	// uses to allocate sibling region subtrees concurrently. Siblings
-	// are independent by construction — each child is summarized before
-	// its parent is coloured — so subtrees fan out speculatively and
-	// join at the parent in region-index order; a subtree that needs
-	// spill code aborts its speculation and replays sequentially (a
-	// spill edits the shared instruction list). The allocation, the
-	// deterministic metrics sections and the trace event stream are all
-	// byte-identical to the sequential walk's. 0 or 1 keeps the paper's
-	// sequential walk; the option never changes the result, only the
-	// wall clock, so it is excluded from MemoSalt and cache keys.
-	IntraParallel int
 }
 
 // Stats reports what each phase of a RAP allocation did.
@@ -138,10 +126,6 @@ func AllocateWithStats(f *ir.Function, k int, opts Options) (Stats, error) {
 		sp:        regalloc.NewSpiller(f),
 		graphs:    map[int]*ig.Graph{},
 		spilledIn: map[int]map[ir.Reg]bool{},
-		scratch:   &regScratch{},
-	}
-	if opts.IntraParallel > 1 {
-		a.sched = newIntraSched(opts.IntraParallel)
 	}
 	if err := a.reanalyze(); err != nil {
 		return Stats{}, err
@@ -257,24 +241,8 @@ type allocator struct {
 	memoKeys map[int]canon.RegionKey
 
 	// scratch holds the reusable dense buffers behind the per-region
-	// helper sets and counts. Per-allocator: every speculative shard
-	// forks with its own.
-	scratch *regScratch
-
-	// Intra-function parallel walk state (see parallel.go). sched is the
-	// function-wide bounded worker pool, shared by root and shards.
-	// speculative marks a forked shard allocator: it must not mutate any
-	// shared state — a subtree that needs spill code aborts with
-	// errSpeculativeSpill instead of editing instructions, memo writes
-	// collect in pending instead of reaching the store, and trace/metrics
-	// buffer in spec until the deterministic join commits them. missed
-	// records memo keys the shard looked up without finding, so the join
-	// can detect speculation invalidated by an earlier sibling's store.
-	sched       *intraSched
-	speculative bool
-	pending     *pendingMemo
-	spec        *obs.SpecFork
-	missed      []string
+	// helper sets.
+	scratch regScratch
 
 	stats Stats
 }
@@ -289,8 +257,8 @@ var afterReanalyze func(*allocator)
 // call builds them; later ones recompute into the same storage (every
 // spill round grows the function a little, so the arrays rarely need to
 // grow). Nothing may hold a slice or set of the previous analysis across
-// the call: the parallel walk's join barrier guarantees that no shard is
-// still reading it.
+// the call: liveness sets, def-use site lists and spans are overwritten
+// in place, so a borrowed view would silently change under its holder.
 func (a *allocator) reanalyze() error {
 	defer a.opts.Trace.StartTimer("rap.phase.analyze")()
 	g, err := cfg.Rebuild(a.g, a.f)
@@ -317,8 +285,10 @@ func (a *allocator) allocateRegion(V *ir.Region) error {
 		a.graphs[V.ID] = g
 		return nil
 	}
-	if err := a.allocateChildren(V); err != nil {
-		return err
+	for _, s := range V.Children {
+		if err := a.allocateRegion(s); err != nil {
+			return err
+		}
 	}
 	isEntry := V.Parent == nil
 	for iter := 0; iter < a.opts.MaxIterations; iter++ {
@@ -350,14 +320,6 @@ func (a *allocator) allocateRegion(V *ir.Region) error {
 				a.memoRecord(V, sum)
 			}
 			return nil
-		}
-		// A speculative shard must not edit the instruction list (it is
-		// shared with concurrently running siblings): abort the
-		// speculation before emitting any spill event and let the join
-		// replay this subtree sequentially, where the identical analysis
-		// state reproduces the identical spill decision.
-		if a.speculative {
-			return errSpeculativeSpill
 		}
 		if a.opts.Trace.Enabled() {
 			for _, n := range res.Spilled {

@@ -1,10 +1,14 @@
 package rap_test
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
 	"repro/internal/lower"
+	"repro/internal/obs"
 	"repro/internal/regalloc"
 	"repro/internal/regalloc/rap"
 	"repro/internal/testutil"
@@ -210,6 +214,101 @@ func TestRAPDeterministic(t *testing.T) {
 	if len(texts) != 1 {
 		t.Errorf("allocation is nondeterministic: %d distinct outputs", len(texts))
 	}
+
+	// A randprog corpus at k=3, where most functions take spill rounds,
+	// allocated twice with the memo off and twice against copies of one
+	// warm store: the code, the stats, the deterministic metrics snapshot
+	// and the trace event sequence must all repeat.
+	const k = 3
+	warm := rap.NewMapMemo()
+	hits := 0
+	memoCorpus(t, 20, func(seed int64, f *ir.Function) {
+		// Warm the store with f itself, so the memo leg takes hits as well
+		// as misses and stores. An allocation error shows up again in the
+		// runs compared below.
+		_, _ = rap.AllocateWithStats(f.Clone(), k, rap.Options{Memo: warm})
+		for _, useMemo := range []bool{false, true} {
+			opts := func() rap.Options {
+				if useMemo {
+					return rap.Options{Memo: cloneMemo(t, warm)}
+				}
+				return rap.Options{}
+			}
+			wantText, wantSt, wantSnap, wantEvs, wantErr := allocTraced(t, f, k, opts())
+			gotText, gotSt, gotSnap, gotEvs, gotErr := allocTraced(t, f, k, opts())
+			where := func() string {
+				return fmt.Sprintf("seed %d func %s k=%d memo=%v", seed, f.Name, k, useMemo)
+			}
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("%s: error divergence: %v vs %v", where(), wantErr, gotErr)
+			}
+			if wantErr != nil {
+				continue
+			}
+			if wantText != gotText {
+				t.Fatalf("%s: allocation differs:\n--- first ---\n%s\n--- second ---\n%s",
+					where(), wantText, gotText)
+			}
+			if wantSt != gotSt {
+				t.Fatalf("%s: stats diverge:\nfirst:  %+v\nsecond: %+v", where(), wantSt, gotSt)
+			}
+			if !reflect.DeepEqual(wantSnap, gotSnap) {
+				t.Fatalf("%s: deterministic metrics diverge:\nfirst:  %+v\nsecond: %+v",
+					where(), wantSnap, gotSnap)
+			}
+			if strings.Join(wantEvs, "\n") != strings.Join(gotEvs, "\n") {
+				t.Fatalf("%s: trace events diverge:\n--- first ---\n%s\n--- second ---\n%s",
+					where(), strings.Join(wantEvs, "\n"), strings.Join(gotEvs, "\n"))
+			}
+			hits += wantSt.MemoHits
+		}
+	})
+	if hits == 0 {
+		t.Fatal("the warm memo was never hit")
+	}
+}
+
+// allocTraced allocates a clone of f with a fresh collector and metrics
+// registry attached, returning the rewritten text, the stats, the
+// deterministic metrics snapshot and the trace event signature sequence.
+func allocTraced(t *testing.T, f *ir.Function, k int, opts rap.Options) (string, rap.Stats, obs.Snapshot, []string, error) {
+	t.Helper()
+	col := &obs.Collector{}
+	opts.Trace = obs.New(col).WithMetrics(obs.NewMetrics())
+	g := f.Clone()
+	st, err := rap.AllocateWithStats(g, k, opts)
+	sigs := make([]string, 0, len(col.Events()))
+	for _, ev := range col.Events() {
+		sigs = append(sigs, eventSig(ev))
+	}
+	return g.String(), st, opts.Trace.Metrics().Snapshot().Deterministic(), sigs, err
+}
+
+// eventSig renders an event deterministically: SpanEnd carries a
+// wall-clock duration, so only its phase participates in the comparison;
+// every other event is fully deterministic and compares in full.
+func eventSig(ev obs.Event) string {
+	if se, ok := ev.(*obs.SpanEnd); ok {
+		return "SpanEnd:" + se.Phase
+	}
+	b, err := obs.Encode(ev)
+	if err != nil {
+		return "encode-error:" + err.Error()
+	}
+	return string(b)
+}
+
+// cloneMemo copies a MapMemo so a run can consume (and extend) the warm
+// state without the next run seeing its writes.
+func cloneMemo(t *testing.T, m *rap.MapMemo) *rap.MapMemo {
+	t.Helper()
+	out := rap.NewMapMemo()
+	for _, kv := range m.Items() {
+		if err := out.Put(kv.Key, kv.Val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 func TestRAPRejectsTinyK(t *testing.T) {

@@ -11,10 +11,6 @@ import "repro/internal/bitset"
 // iterates ascending, giving the deterministic order the maps needed
 // sortRegs for) does the same job with no per-region allocation after
 // warm-up.
-//
-// Scratch is per-allocator state: every speculative shard forks with
-// its own regScratch, so concurrent subtree allocations never share a
-// buffer.
 type regScratch struct {
 	// n is the current register universe size (ir.Function.NextReg),
 	// refreshed by reanalyze after every code edit.

@@ -34,12 +34,6 @@ type ExecOptions struct {
 	// (rap.Options.Memo) — in the daemon, a persistent store view shared
 	// across jobs and restarts.
 	Memo rap.Memo
-	// IntraParallel bounds RAP's intra-function worker pool
-	// (rap.Options.IntraParallel): sibling region subtrees of one
-	// function allocate concurrently with a deterministic join. It never
-	// changes the output, so it participates in neither the job cache
-	// key nor the region-memo salt.
-	IntraParallel int
 }
 
 // Outcome is the in-process result of ExecuteJob — the compiled program
@@ -76,7 +70,6 @@ func ExecuteJob(ctx context.Context, job Job, opts ExecOptions) (*Outcome, error
 		ccfg.Trace = opts.Tracer
 		ccfg.Parallel = opts.Parallel
 		ccfg.RAP.Memo = opts.Memo
-		ccfg.RAP.IntraParallel = opts.IntraParallel
 		ms, err := core.CompareContext(ctx, job.Source, job.ksOrDefault(), ccfg)
 		if err != nil {
 			return nil, err
@@ -90,7 +83,6 @@ func executeAlloc(ctx context.Context, job Job, opts ExecOptions) (*Outcome, err
 	cfg := job.coreConfig()
 	cfg.Trace = opts.Tracer
 	cfg.RAP.Memo = opts.Memo
-	cfg.RAP.IntraParallel = opts.IntraParallel
 	p, err := core.Compile(job.Source, cfg)
 	if err != nil {
 		return nil, err

@@ -69,11 +69,6 @@ type RunnerConfig struct {
 	// SlowJobLog receives the slow-job lines (nil disables the log even
 	// with a threshold set). Writes are serialized by the runner.
 	SlowJobLog io.Writer
-	// IntraParallel bounds RAP's intra-function worker pool for every
-	// job (rap.Options.IntraParallel; 0 or 1 keeps the sequential walk).
-	// Purely a wall-clock knob: results, and therefore the result cache,
-	// are unaffected.
-	IntraParallel int
 	// Peers, when non-nil, is the fleet's read-only artifact tier: on a
 	// local miss the result cache (and, with a Store attached, RAP's
 	// region memo) consults ring peers before recomputing, so a cold
@@ -417,7 +412,7 @@ func (r *Runner) execute(ctx context.Context, job Job, autoID bool) Result {
 	var outcome *Outcome
 	err := fuzz.RunIsolated(ctx, timeout, func(cctx context.Context) error {
 		var uerr error
-		outcome, uerr = ExecuteJob(cctx, job, ExecOptions{Tracer: tr, Memo: r.memo, IntraParallel: r.cfg.IntraParallel})
+		outcome, uerr = ExecuteJob(cctx, job, ExecOptions{Tracer: tr, Memo: r.memo})
 		return uerr
 	})
 	if m := tr.Metrics(); m != nil {
