@@ -1,14 +1,14 @@
 // Command raprouter is the fleet front door: it consistent-hashes
 // incoming jobs by their content address onto N rapserved workers,
-// health-checks the workers, and requeues (or hedges) jobs around
-// worker loss — the same /v1/batch, /v1/jobs, /healthz and /metrics
-// surface as one rapserved, but horizontally scalable and resilient to
-// losing workers.
+// health-checks the workers, and requeues jobs around worker loss, one
+// attempt at a time — the same /v1/batch, /v1/jobs, /healthz and
+// /metrics surface as one rapserved, but horizontally scalable and
+// resilient to losing workers. A job that two workers die with is
+// failed rather than offered to a third.
 //
 // Usage:
 //
 //	raprouter -addr :8080 -fleet http://w1:8081,http://w2:8082,http://w3:8083
-//	raprouter -fleet ... -hedge 200ms        # tail-latency hedging
 //
 // The routing key is the job's cache key — the same SHA-256 the
 // workers' result caches and the persistent artifact store use — so
@@ -38,7 +38,6 @@ func main() {
 		workers   = flag.String("fleet", "", "comma-separated rapserved base URLs (required)")
 		vnodes    = flag.Int("vnodes", 0, "virtual nodes per worker on the hash ring (0 = default)")
 		attempts  = flag.Int("attempts", 0, "max distinct workers tried per job (0 = all)")
-		hedge     = flag.Duration("hedge", 0, "launch the job on the next replica if the current attempt is silent this long (0 = disabled)")
 		reqWait   = flag.Duration("request-timeout", 60*time.Second, "per-forwarded-request ceiling")
 		healthInt = flag.Duration("health-interval", time.Second, "worker liveness probe period")
 		inflight  = flag.Int("max-inflight", 0, "concurrently forwarded jobs (0 = 256)")
@@ -61,7 +60,6 @@ func main() {
 		Workers:        urls,
 		VNodes:         *vnodes,
 		Attempts:       *attempts,
-		HedgeDelay:     *hedge,
 		RequestTimeout: *reqWait,
 		HealthInterval: *healthInt,
 		MaxInflight:    *inflight,

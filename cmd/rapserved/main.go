@@ -18,6 +18,10 @@
 //	GET  /metrics    rap/metrics/v2 snapshot (counters, gauges, latency histograms);
 //	                 ?format=prom renders Prometheus text exposition
 //
+// The store is this worker's alone. In a fleet, raprouter sends each job
+// to the worker that owns its cache key, and no worker reads another's
+// store; a worker restarted on its store directory warm-starts from it.
+//
 // Jobs carry stable trace IDs: the X-Rap-Trace-Id request header seeds
 // IDs for jobs that do not name their own, and every result, trace
 // event and slow-job log line echoes the ID back.
@@ -39,11 +43,9 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -64,8 +66,6 @@ func main() {
 		storeMax   = flag.Int64("store-max-bytes", 0, "size bound for the persistent store before GC by access time (0 = 64 MiB)")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 		slowJob    = flag.Duration("slow-job", 0, "log a structured line to stderr for any job slower than this (0 = disabled)")
-		peers      = flag.String("peers", "", "comma-separated base URLs of ring peers (this worker excluded); on a local cache/memo miss their artifact stores are consulted before recomputing")
-		peerWait   = flag.Duration("peer-timeout", 250*time.Millisecond, "per-request budget for one peer artifact fetch")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -124,23 +124,6 @@ func main() {
 		}()
 	}
 
-	// Ring peers form the fleet's read-only artifact tier: a local miss
-	// asks them before recomputing, so this worker warm-starts from
-	// whatever the rest of the fleet already allocated.
-	var peerSrc serve.PeerSource
-	if *peers != "" {
-		var urls []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				urls = append(urls, strings.TrimRight(p, "/"))
-			}
-		}
-		if len(urls) > 0 {
-			peerSrc = fleet.NewPeerClient(urls, fleet.PeerOptions{Timeout: *peerWait, Metrics: tracer.Metrics()})
-			log.Printf("rapserved: peer artifact tier over %d peers", len(urls))
-		}
-	}
-
 	runner := serve.NewRunner(serve.RunnerConfig{
 		Workers:          *workers,
 		QueueDepth:       *queue,
@@ -151,7 +134,6 @@ func main() {
 		Store:            st,
 		SlowJobThreshold: *slowJob,
 		SlowJobLog:       os.Stderr,
-		Peers:            peerSrc,
 	})
 
 	if *batch {

@@ -1,8 +1,9 @@
 // Package fleet turns the single-node batch-allocation service into a
 // horizontally scalable system: a router that consistent-hashes jobs by
-// their content address onto N rapserved workers, health checking and
-// hedged requeue on worker loss, and a read-only peer artifact tier so
-// any worker warm-starts from the fleet's persistent artifacts.
+// their content address onto N rapserved workers, with health checking
+// and requeue on worker loss. Each job has one attempt in flight at a
+// time, and a job that two workers die with is failed, not requeued.
+// Workers share nothing: each keeps its own artifact store.
 //
 // The routing key is the job's cache key (serve.Job.CacheKey — a
 // SHA-256 over the source text and every result-determining pipeline
@@ -24,9 +25,8 @@ import (
 // Ring is an immutable consistent-hash ring over a fixed worker set.
 // Each worker owns vnodes points on the ring; a key routes to the first
 // point clockwise from its own hash. Lookup returns replicas in
-// preference order, so the requeue/hedge path walks the same sequence
-// every router instance would — deterministic, coordination-free
-// placement.
+// preference order, so the requeue path walks the same sequence every
+// router instance would — deterministic, coordination-free placement.
 type Ring struct {
 	workers []string
 	points  []point
@@ -86,8 +86,8 @@ func (r *Ring) Workers() []string { return append([]string(nil), r.workers...) }
 
 // Lookup returns up to n distinct workers for key in preference order:
 // the key's owner first, then each successive distinct worker clockwise
-// — the requeue targets on owner loss and the hedge targets under
-// tail latency. n <= 0 or n > len(workers) returns every worker.
+// — the requeue targets on owner loss. n <= 0 or n > len(workers)
+// returns every worker.
 func (r *Ring) Lookup(key string, n int) []string {
 	if n <= 0 || n > len(r.workers) {
 		n = len(r.workers)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptrace"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,11 +32,6 @@ type RouterConfig struct {
 	// walks one step clockwise from the job's owner, so every router
 	// instance retries in the same order.
 	Attempts int
-	// HedgeDelay, when > 0, launches the job on the next replica if the
-	// current attempt has not answered within the delay — the classic
-	// tail-latency hedge. The first final answer wins; the duplicate is
-	// cancelled and its result suppressed.
-	HedgeDelay time.Duration
 	// RequestTimeout bounds one forwarded request (default 60s — above
 	// the workers' own 30s job ceiling, so worker-side timeouts surface
 	// as job statuses, not transport errors).
@@ -91,10 +87,10 @@ func (cfg *RouterConfig) fill() {
 }
 
 // Router consistent-hashes jobs onto the worker fleet, health-checks
-// the workers, and requeues or hedges jobs around worker loss. It
-// exposes the same HTTP surface as a single rapserved worker
-// (/v1/batch, /v1/jobs, /healthz, /metrics), so clients cannot tell a
-// fleet from one process — except that it survives losing workers.
+// the workers, and requeues jobs around worker loss. It exposes the
+// same HTTP surface as a single rapserved worker (/v1/batch, /v1/jobs,
+// /healthz, /metrics), so clients cannot tell a fleet from one process
+// — except that it survives losing workers.
 type Router struct {
 	cfg     RouterConfig
 	ring    *Ring
@@ -106,8 +102,7 @@ type Router struct {
 	// replica down it is still the last resort).
 	down map[string]*atomic.Bool
 	// jobSeq names anonymous jobs fleet-<n>: fleet-wide stable IDs that
-	// survive requeues and hedges, outside the workers' reserved auto-*
-	// namespace.
+	// survive requeues, outside the workers' reserved auto-* namespace.
 	jobSeq  atomic.Int64
 	hs      *http.Server
 	stop    chan struct{}
@@ -215,12 +210,24 @@ type attemptOutcome struct {
 	// not unroutable — the fleet is saturated, and the router waits out
 	// the queues instead of failing the job.
 	backpressure bool
-	err          error
+	// died marks a transport failure after the whole request was
+	// written: the worker was alive when it took the job and gone before
+	// it answered. A refused dial (a worker already dead) is not a death.
+	died bool
+	err  error
 }
 
-// Do routes one job: consistent-hash placement, requeue on
-// infrastructure failure, optional hedging. It always returns a Result
-// (an error Result when every replica is unreachable).
+// maxDeaths is how many workers may die with one job in flight before
+// the router fails the job instead of requeuing it. A job that crashes
+// whichever process runs it would otherwise walk the ring and take down
+// every worker. Two lets a job survive one unrelated worker crash: the
+// jobs in flight on a killed worker fail there once and requeue once.
+const maxDeaths = 2
+
+// Do routes one job: consistent-hash placement, then requeue on
+// infrastructure failure. It always returns a Result (an error Result
+// when every replica is unreachable or the job killed maxDeaths of
+// them).
 func (rt *Router) Do(ctx context.Context, job serve.Job) serve.Result {
 	if job.ID == "" {
 		job.ID = fmt.Sprintf("fleet-%d", rt.jobSeq.Add(1))
@@ -229,7 +236,7 @@ func (rt *Router) Do(ctx context.Context, job serve.Job) serve.Result {
 	case rt.sem <- struct{}{}:
 		defer func() { <-rt.sem }()
 	case <-ctx.Done():
-		return serve.Result{ID: job.ID, Status: serve.StatusCanceled, Error: ctx.Err().Error()}
+		return canceled(ctx, job)
 	}
 	start := time.Now()
 	res := rt.route(ctx, job)
@@ -238,87 +245,55 @@ func (rt *Router) Do(ctx context.Context, job serve.Job) serve.Result {
 	return res
 }
 
+// canceled is the result of a job whose caller gave up.
+func canceled(ctx context.Context, job serve.Job) serve.Result {
+	return serve.Result{ID: job.ID, Status: serve.StatusCanceled, Error: ctx.Err().Error()}
+}
+
+// route offers the job to its candidates one at a time, in ring order,
+// until one answers with a job-level result.
 func (rt *Router) route(ctx context.Context, job serve.Job) serve.Result {
 	cands := rt.candidates(job.CacheKey())
-	// One cancellation scope for every attempt this job makes: when a
-	// final result wins, losing hedges are cancelled mid-flight — the
-	// duplicate-suppression half of hedging.
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	// The routing budget caps backpressure rounds: a saturated fleet is
 	// waited out, up to one RequestTimeout of total routing time.
 	routeDeadline := time.Now().Add(rt.cfg.RequestTimeout)
-
-	resc := make(chan attemptOutcome, len(cands))
-	next := 0
-	inflight := 0
-	round := 0
-	sawBackpressure := false
-	launch := func() {
-		w := cands[next]
-		next++
-		inflight++
-		rt.wg.Add(1)
-		go func() {
-			defer rt.wg.Done()
-			resc <- rt.forward(actx, w, job)
-		}()
-	}
-	launch()
-	var hedge <-chan time.Time
-	if rt.cfg.HedgeDelay > 0 {
-		hedge = time.After(rt.cfg.HedgeDelay)
-	}
 	var lastErr error
-	for {
-		select {
-		case out := <-resc:
-			inflight--
+	deaths := 0
+	for round := 0; ; round++ {
+		sawBackpressure := false
+		for _, w := range cands {
+			out := rt.forward(ctx, w, job)
 			if out.final {
-				if inflight > 0 {
-					// Losing attempts are cancelled by the deferred cancel;
-					// their eventual outcomes drain into the buffered channel
-					// and are dropped.
-					rt.metrics.Add("fleet.hedge.suppressed", int64(inflight))
-				}
 				return out.res
+			}
+			if ctx.Err() != nil {
+				return canceled(ctx, job)
 			}
 			lastErr = out.err
 			sawBackpressure = sawBackpressure || out.backpressure
-			rt.metrics.Add("fleet.requeue", 1)
-			if next < len(cands) {
-				launch()
-			} else if inflight == 0 {
-				// The candidate list is spent. If any worker merely said
-				// "queue full", the job is deferred, not doomed: back off
-				// and walk the ring again within the routing budget.
-				if sawBackpressure && time.Now().Before(routeDeadline) {
-					backoff := time.Duration(10<<min(round, 4)) * time.Millisecond
-					round++
-					sawBackpressure = false
-					rt.metrics.Add("fleet.backpressure.rounds", 1)
-					select {
-					case <-time.After(backoff):
-					case <-ctx.Done():
-						return serve.Result{ID: job.ID, Status: serve.StatusCanceled, Error: ctx.Err().Error()}
-					}
-					next = 0
-					launch()
-					continue
+			if out.died {
+				deaths++
+				if deaths == maxDeaths {
+					rt.metrics.Add("fleet.jobs.poison", 1)
+					return serve.Result{ID: job.ID, Status: serve.StatusError,
+						Error: fmt.Sprintf("not requeued: %d workers died with this job in flight: %v", deaths, lastErr)}
 				}
-				rt.metrics.Add("fleet.jobs.unroutable", 1)
-				return serve.Result{ID: job.ID, Status: serve.StatusError,
-					Error: fmt.Sprintf("no worker available after %d attempts: %v", next, lastErr)}
 			}
-		case <-hedge:
-			hedge = nil
-			if next < len(cands) {
-				rt.metrics.Add("fleet.hedge.launched", 1)
-				launch()
-			}
+			rt.metrics.Add("fleet.requeue", 1)
+		}
+		// The candidate list is spent. If any worker merely said "queue
+		// full", the job is deferred, not doomed: back off and walk the
+		// ring again within the routing budget.
+		if !sawBackpressure || !time.Now().Before(routeDeadline) {
+			rt.metrics.Add("fleet.jobs.unroutable", 1)
+			return serve.Result{ID: job.ID, Status: serve.StatusError,
+				Error: fmt.Sprintf("no worker available after %d attempts: %v", len(cands), lastErr)}
+		}
+		rt.metrics.Add("fleet.backpressure.rounds", 1)
+		select {
+		case <-time.After(time.Duration(10<<min(round, 4)) * time.Millisecond):
 		case <-ctx.Done():
-			return serve.Result{ID: job.ID, Status: serve.StatusCanceled, Error: ctx.Err().Error()}
+			return canceled(ctx, job)
 		}
 	}
 }
@@ -335,6 +310,11 @@ func (rt *Router) forward(ctx context.Context, worker string, job serve.Job) att
 	}
 	fctx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
 	defer cancel()
+	// The transport reports the finished write from its own goroutine.
+	var wrote atomic.Bool
+	fctx = httptrace.WithClientTrace(fctx, &httptrace.ClientTrace{
+		WroteRequest: func(info httptrace.WroteRequestInfo) { wrote.Store(info.Err == nil) },
+	})
 	req, err := http.NewRequestWithContext(fctx, http.MethodPost, worker+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		return attemptOutcome{err: err}
@@ -343,18 +323,18 @@ func (rt *Router) forward(ctx context.Context, worker string, job serve.Job) att
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			// The job's own context died (caller gone or hedge lost the
-			// race) — not the worker's fault; don't mark it down.
+			// The job's own context died (the caller is gone) — not the
+			// worker's fault; don't mark it down.
 			return attemptOutcome{err: ctx.Err()}
 		}
 		rt.down[worker].Store(true)
-		return attemptOutcome{err: fmt.Errorf("worker %s: %w", worker, err)}
+		return attemptOutcome{died: wrote.Load(), err: fmt.Errorf("worker %s: %w", worker, err)}
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes))
 	if err != nil {
 		rt.down[worker].Store(true)
-		return attemptOutcome{err: fmt.Errorf("worker %s: read: %w", worker, err)}
+		return attemptOutcome{died: true, err: fmt.Errorf("worker %s: read: %w", worker, err)}
 	}
 	switch resp.StatusCode {
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:

@@ -21,10 +21,22 @@ import (
 // /v1/jobs job as an ok result naming itself in Output[0] (so tests can
 // see placement), and optionally stalls for delay — aborting cleanly,
 // and counting, when the request context is cancelled (the
-// hedge-suppression observation point).
+// caller-cancellation observation point).
 func fakeWorker(t *testing.T, name string, delay time.Duration, canceled *atomic.Int64) *httptest.Server {
+	return poisonableWorker(t, name, delay, canceled, nil)
+}
+
+// poisonMark in a job's source makes a poisonable worker die.
+const poisonMark = "/* poison */"
+
+// poisonableWorker is fakeWorker, except that with died set it dies on
+// a job whose source carries poisonMark, as a worker process the job
+// crashed would: it closes the job's connection without answering,
+// stops listening and drops its other connections.
+func poisonableWorker(t *testing.T, name string, delay time.Duration, canceled *atomic.Int64, died *atomic.Bool) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
+	srv := httptest.NewUnstartedServer(mux)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprint(w, `{"state":"ok"}`)
@@ -33,6 +45,18 @@ func fakeWorker(t *testing.T, name string, delay time.Duration, canceled *atomic
 		var job serve.Job
 		if err := json.NewDecoder(r.Body).Decode(&job); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if died != nil && strings.Contains(job.Source, poisonMark) {
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Errorf("%s: hijack: %v", name, err)
+				return
+			}
+			conn.Close()
+			died.Store(true)
+			srv.Listener.Close()
+			srv.CloseClientConnections()
 			return
 		}
 		if delay > 0 {
@@ -48,7 +72,7 @@ func fakeWorker(t *testing.T, name string, delay time.Duration, canceled *atomic
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(serve.Result{ID: job.ID, Status: serve.StatusOK, Output: []string{name}})
 	})
-	srv := httptest.NewServer(mux)
+	srv.Start()
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -159,18 +183,15 @@ func TestRouterRequeueOnWorkerKill(t *testing.T) {
 	}
 }
 
-// TestHedgeDuplicateSuppression: a job owned by a stalled worker is
-// hedged onto the next replica after HedgeDelay; the fast replica's
-// answer wins, the stalled attempt is cancelled (observed by the worker
-// itself), and the suppression is counted.
-func TestHedgeDuplicateSuppression(t *testing.T) {
+// TestRouterCallerCancel: a caller that gives up while its job stalls
+// on a worker gets StatusCanceled at once. The worker observes the
+// abort, is not marked down, and the job is not requeued onto the next
+// worker.
+func TestRouterCallerCancel(t *testing.T) {
 	var slowCanceled atomic.Int64
 	slow := fakeWorker(t, "slow", 10*time.Second, &slowCanceled)
 	fast := fakeWorker(t, "fast", 0, nil)
-	rt := newTestRouter(t, RouterConfig{
-		Workers:    []string{slow.URL, fast.URL},
-		HedgeDelay: 25 * time.Millisecond,
-	})
+	rt := newTestRouter(t, RouterConfig{Workers: []string{slow.URL, fast.URL}})
 
 	// Find a job the ring places on the slow worker.
 	var job serve.Job
@@ -180,30 +201,85 @@ func TestHedgeDuplicateSuppression(t *testing.T) {
 			break
 		}
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	res := rt.Do(context.Background(), job)
-	elapsed := time.Since(start)
-	if res.Status != serve.StatusOK || res.Output[0] != "fast" {
-		t.Fatalf("hedged job: status %q served by %v, want ok from fast", res.Status, res.Output)
+	res := rt.Do(ctx, job)
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("canceled job returned after %s", elapsed)
 	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("hedged job took %s — hedge never fired", elapsed)
+	if res.Status != serve.StatusCanceled {
+		t.Fatalf("canceled job: status %q served by %v (%s), want canceled", res.Status, res.Output, res.Error)
 	}
-	c := rt.metrics.Snapshot().Counters
-	if c["fleet.hedge.launched"] == 0 {
-		t.Error("no hedge launched")
-	}
-	if c["fleet.hedge.suppressed"] == 0 {
-		t.Error("winning result suppressed no duplicate")
-	}
-	// The cancelled duplicate must actually reach the slow worker as a
-	// context abort — duplicate suppression, not duplicate completion.
 	deadline := time.Now().Add(5 * time.Second)
 	for slowCanceled.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if slowCanceled.Load() == 0 {
-		t.Error("slow worker never observed the hedge cancellation")
+		t.Error("slow worker never observed the cancellation")
+	}
+	if rt.down[slow.URL].Load() {
+		t.Error("the caller's cancellation marked the worker down")
+	}
+	c := rt.metrics.Snapshot().Counters
+	if c["fleet.requeue"] != 0 || c["fleet.jobs.canceled"] != 1 {
+		t.Errorf("requeue = %d, jobs.canceled = %d; want 0 and 1", c["fleet.requeue"], c["fleet.jobs.canceled"])
+	}
+}
+
+// TestRouterPoisonJob: a job that kills every worker it lands on is
+// failed once two workers have died with it in flight, instead of
+// walking the ring and taking the whole fleet down. The survivor still
+// serves well-formed jobs, and refused dials to the dead workers do not
+// count as deaths.
+func TestRouterPoisonJob(t *testing.T) {
+	names := []string{"w1", "w2", "w3"}
+	var died [3]atomic.Bool
+	var urls []string
+	for i, name := range names {
+		urls = append(urls, poisonableWorker(t, name, 0, nil, &died[i]).URL)
+	}
+	rt := newTestRouter(t, RouterConfig{Workers: urls})
+
+	res := rt.Do(context.Background(), serve.Job{ID: "poison", Source: "int main() { return 0; } " + poisonMark, Allocator: "rap", K: 5})
+	if res.Status != serve.StatusError {
+		t.Fatalf("poison job: status %q (%s), want error", res.Status, res.Error)
+	}
+	survivor, survivorName, dead := "", "", 0
+	for i := range died {
+		if died[i].Load() {
+			dead++
+		} else {
+			survivor, survivorName = urls[i], names[i]
+		}
+	}
+	if dead != maxDeaths {
+		t.Fatalf("poison job took down %d of 3 workers, want %d (%s)", dead, maxDeaths, res.Error)
+	}
+	if c := rt.metrics.Snapshot().Counters; c["fleet.jobs.poison"] != 1 {
+		t.Errorf("fleet.jobs.poison = %d, want 1", c["fleet.jobs.poison"])
+	}
+	for i := 0; i < 10; i++ {
+		res := rt.Do(context.Background(), testJob(i))
+		if res.Status != serve.StatusOK || res.Output[0] != survivorName {
+			t.Fatalf("job %d after the poison job: %q served by %v (%s), want ok from %s",
+				i, res.Status, res.Output, res.Error, survivorName)
+		}
+	}
+
+	// A fresh router does not know the two workers are dead. A job the
+	// ring places on both before the survivor is refused twice on dial
+	// and must still reach the survivor.
+	rt2 := newTestRouter(t, RouterConfig{Workers: urls})
+	var job serve.Job
+	for i := 0; ; i++ {
+		job = testJob(i)
+		if rt2.ring.Lookup(job.CacheKey(), 0)[2] == survivor {
+			break
+		}
+	}
+	if res := rt2.Do(context.Background(), job); res.Status != serve.StatusOK {
+		t.Fatalf("job behind two dead workers: %q (%s), want ok from the survivor", res.Status, res.Error)
 	}
 }
 

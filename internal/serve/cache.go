@@ -23,10 +23,12 @@ type resultStore interface {
 // DESIGN.md), whereas timeouts and cancellations describe the schedule,
 // not the program.
 //
-// With a disk backing, puts write through (JSON-encoded Result) and an
-// in-memory miss falls back to disk before reporting a miss, so results
-// survive restarts. Disk-served results re-enter memory without being
-// rewritten to disk.
+// The tier chain is the in-memory LRU, then (with a disk backing) the
+// worker's own store; nothing is fetched from another worker. Puts
+// write through to disk (JSON-encoded Result) and an in-memory miss
+// falls back to disk before reporting a miss, so results survive
+// restarts. Disk-served results re-enter memory without being rewritten
+// to disk; an entry that does not decode is a miss.
 //
 // Hit/miss/eviction counts go to the shared metrics registry under
 // serve.cache.*; the disk's own traffic appears under store.*.
@@ -37,9 +39,6 @@ type cache struct {
 	items map[string]*list.Element
 	m     *obs.Metrics
 	disk  resultStore // nil = memory only
-	// peer is the fleet tier behind disk: a read-only view of the ring
-	// peers' stores, consulted last so the local layers always win.
-	peer *peerGetter
 }
 
 type cacheEntry struct {
@@ -79,23 +78,6 @@ func (c *cache) get(key string) (Result, bool) {
 				c.putMem(key, res) // back into memory; no rewrite to disk
 				c.m.Add("serve.cache.hits", 1)
 				c.m.Add("serve.cache.disk_hits", 1)
-				return res, true
-			}
-		}
-	}
-	// Last tier: the fleet. A peer that already computed this job hands
-	// the result over; it re-enters memory and the local disk so the
-	// artifact propagates to wherever the ring now routes the key.
-	if c.peer != nil {
-		if raw, ok := c.peer.Get(key); ok {
-			var res Result
-			if err := json.Unmarshal(raw, &res); err == nil && res.Status == StatusOK {
-				c.putMem(key, res)
-				if c.disk != nil {
-					_ = c.disk.Put(key, raw)
-				}
-				c.m.Add("serve.cache.hits", 1)
-				c.m.Add("serve.cache.peer_hits", 1)
 				return res, true
 			}
 		}

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"path/filepath"
 	"strconv"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 func TestCacheLRU(t *testing.T) {
@@ -81,5 +83,61 @@ func TestCacheEvictionChurn(t *testing.T) {
 		if res, ok := c.get(strconv.Itoa(i)); !ok || res.Ret != int64(i) {
 			t.Errorf("recent key %d missing", i)
 		}
+	}
+}
+
+// TestCacheDiskTier drives the result cache's tier chain over a real
+// store: a result evicted from memory comes back from disk and
+// re-enters memory without a second store write, and a disk entry that
+// does not decode is a miss.
+func TestCacheDiskTier(t *testing.T) {
+	m := obs.NewMetrics()
+	st, err := store.Open(filepath.Join(t.TempDir(), "artifacts.log"), store.Options{Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	c := newCache(2, m)
+	c.disk = store.Prefixed(st, resultPrefix)
+
+	for i, key := range []string{"a", "b", "c"} {
+		c.put(key, Result{ID: key, Status: StatusOK, Ret: int64(i)})
+	}
+	if c.len() != 2 {
+		t.Fatalf("len = %d, want 2", c.len())
+	}
+	counters := func() map[string]int64 { return m.Snapshot().Counters }
+	writes := counters()["store.write"]
+	if writes != 3 {
+		t.Fatalf("store.write = %d after 3 puts, want 3", writes)
+	}
+
+	// "a" was evicted by "c": it must come back from disk.
+	if res, ok := c.get("a"); !ok || res.ID != "a" || res.Ret != 0 {
+		t.Fatalf("get(a) after eviction = %+v, %v; want the persisted result", res, ok)
+	}
+	if n := counters(); n["serve.cache.disk_hits"] != 1 || n["serve.cache.hits"] != 1 {
+		t.Errorf("disk_hits/hits = %d/%d, want 1/1", n["serve.cache.disk_hits"], n["serve.cache.hits"])
+	}
+	// It re-entered memory: the next get is a memory hit, and neither
+	// get wrote to the store.
+	if _, ok := c.get("a"); !ok {
+		t.Fatal("second get(a) missed")
+	}
+	if n := counters(); n["serve.cache.disk_hits"] != 1 || n["serve.cache.hits"] != 2 {
+		t.Errorf("disk_hits/hits = %d/%d, want 1/2 (second get should hit memory)", n["serve.cache.disk_hits"], n["serve.cache.hits"])
+	}
+	if got := counters()["store.write"]; got != writes {
+		t.Errorf("store.write = %d, want %d: a disk hit was written back", got, writes)
+	}
+
+	if err := st.Put(resultPrefix+"bad", []byte("{not a result")); err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := c.get("bad"); ok {
+		t.Errorf("undecodable disk entry served as %+v", res)
+	}
+	if n := counters(); n["serve.cache.misses"] != 1 || n["serve.cache.disk_hits"] != 1 {
+		t.Errorf("misses/disk_hits = %d/%d, want 1/1", n["serve.cache.misses"], n["serve.cache.disk_hits"])
 	}
 }

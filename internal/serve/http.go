@@ -75,7 +75,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/batch", s.timed("batch", s.handleBatch))
 	mux.HandleFunc("/v1/jobs", s.timed("jobs", s.handleJob))
-	mux.HandleFunc("/v1/artifact", s.timed("artifact", s.handleArtifact))
 	mux.HandleFunc("/healthz", s.timed("healthz", s.handleHealthz))
 	mux.HandleFunc("/metrics", s.timed("metrics", s.handleMetrics))
 	return mux
@@ -289,32 +288,6 @@ func httpCode(status string) int {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.runner.Health())
-}
-
-// handleArtifact is the read-only peer-fetch tier: GET ?key=<full store
-// key> returns the raw artifact bytes (octet-stream) from this worker's
-// persistent store, 404 on a miss or when no store is attached. Ring
-// peers call it on a local result-cache or region-memo miss, so the
-// fleet's warm artifacts reach cold workers without any push protocol.
-func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, StatusInvalid, errors.New("GET only"))
-		return
-	}
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		writeError(w, http.StatusBadRequest, StatusInvalid, errors.New("missing key parameter"))
-		return
-	}
-	val, ok := s.runner.Artifact(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, StatusError, fmt.Errorf("no artifact under %q", key))
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	w.Write(val)
 }
 
 // handleMetrics serves the obs metrics snapshot (schema rap/metrics/v2):

@@ -280,3 +280,41 @@ func TestBatchRequestLimits(t *testing.T) {
 		t.Errorf("oversized batch = %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestServerBodyLimit413 is the regression test for the unbounded-body
+// bug: requests past MaxBodyBytes answer 413 with a decodable error
+// body on both job endpoints.
+func TestServerBodyLimit413(t *testing.T) {
+	r := newTestRunner(t, serve.RunnerConfig{Workers: 1})
+	srv := serve.NewServer(r)
+	srv.MaxBodyBytes = 2048
+	front := httptest.NewServer(srv.Handler())
+	defer front.Close()
+
+	huge := serve.Job{ID: "big", Source: "int main() { return 0; } //" + strings.Repeat("x", 8192), Allocator: "rap", K: 5}
+	for _, ep := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/jobs", huge},
+		{"/v1/batch", serve.BatchRequest{Jobs: []serve.Job{huge}}},
+	} {
+		resp, body := postJSON(t, front.URL+ep.path, ep.body)
+		if resp.StatusCode != 413 {
+			t.Errorf("%s: HTTP %d, want 413", ep.path, resp.StatusCode)
+		}
+		var eb struct {
+			Error  string `json:"error"`
+			Status string `json:"status"`
+		}
+		if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
+			t.Errorf("%s: 413 body not a JSON error: %v (%s)", ep.path, err, body)
+		}
+	}
+
+	// An honest job still fits comfortably under the same limit.
+	resp, body := postJSON(t, front.URL+"/v1/jobs", serve.Job{ID: "ok", Source: goodSrc, Allocator: "rap", K: 5})
+	if resp.StatusCode != 200 {
+		t.Fatalf("small job: HTTP %d (%s)", resp.StatusCode, body)
+	}
+}

@@ -59,8 +59,9 @@ type RunnerConfig struct {
 	// results write through to it under "result/" keys (and reload on the
 	// next boot — the warm start), and RAP allocations record region
 	// summaries under "memo/" keys for incremental reuse across jobs and
-	// restarts. The runner does not own the store; the caller closes it
-	// after Drain.
+	// restarts. It is the runner's only persistent tier: no other worker
+	// reads it and the runner reads no other worker's. The runner does
+	// not own the store; the caller closes it after Drain.
 	Store *store.Store
 	// SlowJobThreshold, when > 0 and SlowJobLog is set, logs every job
 	// whose wall clock meets or exceeds it as one structured JSON line
@@ -69,12 +70,6 @@ type RunnerConfig struct {
 	// SlowJobLog receives the slow-job lines (nil disables the log even
 	// with a threshold set). Writes are serialized by the runner.
 	SlowJobLog io.Writer
-	// Peers, when non-nil, is the fleet's read-only artifact tier: on a
-	// local miss the result cache (and, with a Store attached, RAP's
-	// region memo) consults ring peers before recomputing, so a cold
-	// worker warm-starts from artifacts the rest of the fleet already
-	// produced. Peer traffic is counted under fleet.peer.hits/misses.
-	Peers PeerSource
 }
 
 func (cfg *RunnerConfig) fill() {
@@ -161,14 +156,6 @@ func NewRunner(cfg RunnerConfig) *Runner {
 		r.memo = store.Prefixed(cfg.Store, memoPrefix)
 		r.warmStart(cfg.Store)
 	}
-	if cfg.Peers != nil {
-		r.cache.peer = &peerGetter{src: cfg.Peers, prefix: resultPrefix, m: r.metrics}
-		if r.memo != nil {
-			// The memo peer tier needs a local store to write through to;
-			// without one the runner has no memo at all.
-			r.memo = tieredMemo{local: r.memo, peer: peerGetter{src: cfg.Peers, prefix: memoPrefix, m: r.metrics}}
-		}
-	}
 	r.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go r.worker()
@@ -207,22 +194,6 @@ func (r *Runner) warmStart(s *store.Store) {
 
 // Metrics returns the registry the runner reports into.
 func (r *Runner) Metrics() *obs.Metrics { return r.metrics }
-
-// Artifact serves the read-only peer-fetch tier: it returns the raw
-// artifact stored under a full store key ("result/…", "memo/…") from
-// the runner's persistent store, if one is attached. Ring peers call
-// this through GET /v1/artifact on a local miss, so any worker can
-// warm-start from the fleet's artifacts.
-func (r *Runner) Artifact(key string) ([]byte, bool) {
-	if r.cfg.Store == nil {
-		return nil, false
-	}
-	val, ok := r.cfg.Store.Get(key)
-	if ok {
-		r.metrics.Add("serve.artifact.served", 1)
-	}
-	return val, ok
-}
 
 // LastJobSnapshot returns the pipeline metrics snapshot of the most
 // recently executed (non-cached) job, or nil before the first one.

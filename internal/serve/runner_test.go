@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -383,5 +384,41 @@ func TestRunnerMixedBatch100(t *testing.T) {
 				t.Errorf("job %s: output line %d differs", jobs[i].ID, j)
 			}
 		}
+	}
+}
+
+// TestAutoIDReservedNamespace is the regression test for the ID
+// collision bug: runner-assigned IDs live in their own "auto-"
+// namespace, clients may not submit into it, and client IDs that used
+// to collide with the old job-<seq> scheme still work.
+func TestAutoIDReservedNamespace(t *testing.T) {
+	r := newTestRunner(t, serve.RunnerConfig{Workers: 1})
+
+	res, err := r.Do(context.Background(), serve.Job{Source: goodSrc, Allocator: "rap", K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(res.ID, serve.AutoIDPrefix) {
+		t.Errorf("anonymous job ID = %q, want %s<n>", res.ID, serve.AutoIDPrefix)
+	}
+
+	res, err = r.Do(context.Background(), serve.Job{ID: serve.AutoIDPrefix + "1", Source: goodSrc, Allocator: "rap", K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != serve.StatusInvalid {
+		t.Errorf("client job in reserved namespace: status %q, want invalid", res.Status)
+	}
+	if !strings.Contains(res.Error, serve.AutoIDPrefix) {
+		t.Errorf("rejection does not name the reserved namespace: %q", res.Error)
+	}
+
+	// "job-1" was the old auto-assigned shape; clients own it now.
+	res, err = r.Do(context.Background(), serve.Job{ID: "job-1", Source: goodSrc, Allocator: "rap", K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != serve.StatusOK || res.ID != "job-1" {
+		t.Errorf("client ID job-1: status %q id %q, want ok/job-1", res.Status, res.ID)
 	}
 }

@@ -2,10 +2,10 @@
 # fleet_smoke.sh — CI smoke test for the fleet: a raprouter over three
 # store-backed rapserved workers takes a deterministic raploadgen stream,
 # a worker is SIGKILLed mid-run and every job must still complete, the
-# worker comes back with an empty store and must warm-start from its
-# ring peers (fleet.peer.hits > 0), and every run's result digest must
-# be byte-identical to a single-node run of the same stream — the fleet
-# changes scheduling, never results.
+# worker comes back on its surviving store directory and must warm-start
+# from it (serve.cache.warm_loaded > 0), and every run's result digest
+# must be byte-identical to a single-node run of the same stream — the
+# fleet changes scheduling, never results.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -85,19 +85,18 @@ curl -sf "http://$ROUTER/metrics" | grep -Eq '"fleet.requeue": [1-9]' || {
 curl -sf "http://$ROUTER/healthz" | grep -q '"workers_alive": 2' || {
     echo "FAIL: router still counts the killed worker alive"; exit 1; }
 
-# Restart w3 with an EMPTY store and its ring peers configured: rerunning
-# the seed-2 stream routes its share back to it, and it must warm-start
-# those results from w1/w2 over the peer artifact tier instead of
-# recomputing.
-rm -rf "$TMP/store-w3"
-start_worker w3 "$W3" -peers "http://$W1,http://$W2"
+# Restart w3 on the store directory the SIGKILL left behind: run 1
+# already persisted w3's share of the seed-1 work, so it must warm-start
+# from its own store. Rerunning the seed-2 stream routes w3's share back
+# to it, and the digest must not change.
+start_worker w3 "$W3"
 sleep 0.6  # let the router's health probe revive w3
 "$TMP/raploadgen" -target "http://$ROUTER" -jobs 60 -concurrency 8 -seed 2 \
     >"$TMP/fleet3.json" 2>/dev/null
 [ "$(digest_of "$TMP/fleet3.json")" = "$(digest_of "$TMP/solo2.json")" ] || {
     echo "FAIL: post-restart digest differs from single-node digest"; exit 1; }
-curl -sf "http://$W3/metrics" | grep -Eq '"fleet.peer.hits": [1-9]' || {
-    echo "FAIL: restarted worker recorded no peer warm hits"
+curl -sf "http://$W3/metrics" | grep -Eq '"serve.cache.warm_loaded": [1-9]' || {
+    echo "FAIL: restarted worker loaded no results from its own store"
     curl -sf "http://$W3/metrics"; exit 1; }
 
 # Graceful teardown: the router drains on SIGTERM.
@@ -110,4 +109,4 @@ kill -0 "$ROUTER_PID" 2>/dev/null && { echo "FAIL: router ignored SIGTERM"; exit
 grep -q "drained cleanly" "$TMP/router.log" || {
     echo "FAIL: no clean-drain log line from router"; cat "$TMP/router.log"; exit 1; }
 
-echo "PASS: fleet smoke (3 workers, byte-identical digests, kill+requeue, peer warm-start, drain)"
+echo "PASS: fleet smoke (3 workers, byte-identical digests, kill+requeue, rejoin warm-start, drain)"
