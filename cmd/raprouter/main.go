@@ -1,10 +1,11 @@
 // Command raprouter is the fleet front door: it consistent-hashes
 // incoming jobs by their content address onto N rapserved workers,
 // health-checks the workers, and requeues jobs around worker loss, one
-// attempt at a time — the same /v1/batch, /v1/jobs, /healthz and
-// /metrics surface as one rapserved, but horizontally scalable and
-// resilient to losing workers. A job that two workers die with is
-// failed rather than offered to a third.
+// attempt at a time. It serves serve.NewServer(router), the HTTP surface
+// rapserved serves over its runner: the same /v1/batch, /v1/jobs,
+// /healthz and /metrics endpoints under the same request limits, but
+// horizontally scalable and resilient to losing workers. A job that two
+// workers die with is failed rather than offered to a third.
 //
 // Usage:
 //
@@ -30,6 +31,7 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -69,9 +71,10 @@ func main() {
 		log.Fatalf("raprouter: %v", err)
 	}
 
+	srv := serve.NewServer(rt)
 	errc := make(chan error, 1)
 	go func() {
-		errc <- rt.ListenAndServe(*addr, func(a net.Addr) {
+		errc <- srv.ListenAndServe(*addr, func(a net.Addr) {
 			log.Printf("raprouter: listening on %s, routing over %d workers", a, len(urls))
 		})
 	}()
@@ -87,7 +90,7 @@ func main() {
 		log.Printf("raprouter: %s — draining (%s budget)", sig, *drainWait)
 		ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 		defer cancel()
-		if err := rt.Shutdown(ctx); err != nil {
+		if err := srv.Shutdown(ctx); err != nil {
 			log.Fatalf("raprouter: drain: %v", err)
 		}
 		log.Printf("raprouter: drained cleanly")

@@ -68,7 +68,7 @@ func TestCompareContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	src := bench.ProgramByName("sieve").Source
-	if _, err := core.CompareContext(ctx, src, []int{3, 5}, core.CompareConfig{Parallel: 4}); !errors.Is(err, context.Canceled) {
+	if _, err := core.CompareContext(ctx, src, []int{3, 5}, core.CompareConfig{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled compare error = %v, want context.Canceled", err)
 	}
 }

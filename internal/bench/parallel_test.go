@@ -100,22 +100,3 @@ func TestMetricsV2SnapshotByteIdenticalAcrossWorkers(t *testing.T) {
 		}
 	}
 }
-
-// TestCompareParallelMatchesSequential exercises core.Compare's own
-// per-k fan (bench drives CompareAtK directly, so this path is only
-// reachable through Compare's public API).
-func TestCompareParallelMatchesSequential(t *testing.T) {
-	prog := bench.ProgramByName("sieve")
-	ks := []int{3, 5, 7, 9}
-	seq, err := core.Compare(prog.Source, ks, core.CompareConfig{Funcs: prog.Funcs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := core.Compare(prog.Source, ks, core.CompareConfig{Funcs: prog.Funcs, Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("core.Compare parallel measurements differ:\nseq: %+v\npar: %+v", seq, par)
-	}
-}

@@ -7,7 +7,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -313,11 +312,9 @@ type CompareConfig struct {
 	Verify bool
 	// Funcs restricts measurement to these routines (nil = all executed).
 	Funcs []string
-	// Parallel bounds the worker pool the comparison fans its per-k
-	// compilation+interpretation units over; 0 or 1 means sequential.
-	// Every (program, k) unit is independent, results are re-assembled
-	// in deterministic order, and metrics counters are merged at the
-	// join, so the output is byte-identical to a sequential run.
+	// Parallel is the width of the bench harness's (program, k) worker
+	// pool (internal/bench); 0 or 1 means sequential. A single
+	// CompareContext ignores it and runs its ks in order.
 	Parallel int
 	// Trace observes every compilation and interpreter run the
 	// comparison performs. The runs are timed under the "interp" span;
@@ -362,9 +359,9 @@ func staticSize(f *ir.Function) int {
 }
 
 // RefRun is a compiled and executed unallocated reference program — the
-// oracle both allocators are validated against. One RefRun may be shared
-// by any number of concurrent CompareAtK calls; it is read-only after
-// CompileRef returns.
+// oracle every allocation is validated against. One RefRun may be shared
+// by any number of concurrent CompareAtKContext calls; it is read-only
+// after CompileRef returns.
 type RefRun struct {
 	Prog *ir.Program
 	Res  *interp.Result
@@ -396,13 +393,6 @@ func verifyAllocation(label string, ref *RefRun, alloc *ir.Program, k int, cfg C
 	return nil
 }
 
-// CompareAtK measures one register set size against a prepared
-// reference. It is equivalent to CompareAtKContext with a background
-// context.
-func CompareAtK(src string, k int, cfg CompareConfig, ref *RefRun) ([]Measurement, error) {
-	return CompareAtKContext(context.Background(), src, k, cfg, ref)
-}
-
 // CompareAtKContext measures one register set size against a prepared
 // reference: compile src under GRA, RAP and IRC at k, run all three,
 // verify behaviour (and, with cfg.Verify, the static allocation
@@ -410,90 +400,57 @@ func CompareAtK(src string, k int, cfg CompareConfig, ref *RefRun) ([]Measuremen
 // the parallel harness fans out; ctx cancellation is observed between
 // phases.
 func CompareAtKContext(ctx context.Context, src string, k int, cfg CompareConfig, ref *RefRun) ([]Measurement, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	confs := [...]Config{
+		{Allocator: AllocGRA, K: k, Lower: cfg.Lower, GRAPeephole: cfg.GRAPeephole, Coalesce: cfg.Coalesce, Rematerialize: cfg.Rematerialize, Trace: cfg.Trace},
+		{Allocator: AllocRAP, K: k, Lower: cfg.Lower, RAP: cfg.RAP, Coalesce: cfg.Coalesce, Rematerialize: cfg.Rematerialize, Trace: cfg.Trace},
+		{Allocator: AllocIRC, K: k, Lower: cfg.Lower, Trace: cfg.Trace},
 	}
-	graProg, err := Compile(src, Config{Allocator: AllocGRA, K: k, Lower: cfg.Lower, GRAPeephole: cfg.GRAPeephole, Coalesce: cfg.Coalesce, Rematerialize: cfg.Rematerialize, Trace: cfg.Trace})
-	if err != nil {
-		return nil, fmt.Errorf("gra k=%d: %w", k, err)
-	}
-	if cfg.Verify {
-		if err := verifyAllocation("gra", ref, graProg, k, cfg); err != nil {
+	var progs [len(confs)]*ir.Program
+	var runs [len(confs)]*interp.Result
+	for i, conf := range confs {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	graRes, err := cfg.run(ctx, graProg)
-	if err != nil {
-		return nil, fmt.Errorf("gra k=%d run: %w", k, err)
-	}
-	if err := testutil.SameBehaviour(ref.Res, graRes); err != nil {
-		return nil, fmt.Errorf("gra k=%d changed behaviour: %w", k, err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rapProg, err := Compile(src, Config{Allocator: AllocRAP, K: k, Lower: cfg.Lower, RAP: cfg.RAP, Coalesce: cfg.Coalesce, Rematerialize: cfg.Rematerialize, Trace: cfg.Trace})
-	if err != nil {
-		return nil, fmt.Errorf("rap k=%d: %w", k, err)
-	}
-	if cfg.Verify {
-		if err := verifyAllocation("rap", ref, rapProg, k, cfg); err != nil {
+		p, err := Compile(src, conf)
+		if err != nil {
+			return nil, fmt.Errorf("%s k=%d: %w", conf.Allocator, k, err)
+		}
+		if cfg.Verify {
+			if err := verifyAllocation(string(conf.Allocator), ref, p, k, cfg); err != nil {
+				return nil, err
+			}
+		}
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rapRes, err := cfg.run(ctx, rapProg)
-	if err != nil {
-		return nil, fmt.Errorf("rap k=%d run: %w", k, err)
-	}
-	if err := testutil.SameBehaviour(ref.Res, rapRes); err != nil {
-		return nil, fmt.Errorf("rap k=%d changed behaviour: %w", k, err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ircProg, err := Compile(src, Config{Allocator: AllocIRC, K: k, Lower: cfg.Lower, Trace: cfg.Trace})
-	if err != nil {
-		return nil, fmt.Errorf("irc k=%d: %w", k, err)
-	}
-	if cfg.Verify {
-		if err := verifyAllocation("irc", ref, ircProg, k, cfg); err != nil {
-			return nil, err
+		res, err := cfg.run(ctx, p)
+		if err != nil {
+			return nil, fmt.Errorf("%s k=%d run: %w", conf.Allocator, k, err)
 		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ircRes, err := cfg.run(ctx, ircProg)
-	if err != nil {
-		return nil, fmt.Errorf("irc k=%d run: %w", k, err)
-	}
-	if err := testutil.SameBehaviour(ref.Res, ircRes); err != nil {
-		return nil, fmt.Errorf("irc k=%d changed behaviour: %w", k, err)
+		if err := testutil.SameBehaviour(ref.Res, res); err != nil {
+			return nil, fmt.Errorf("%s k=%d changed behaviour: %w", conf.Allocator, k, err)
+		}
+		progs[i], runs[i] = p, res
 	}
 	names := cfg.Funcs
 	if names == nil {
-		names = graRes.FuncNames()
+		names = runs[0].FuncNames()
 	}
 	var out []Measurement
 	for _, name := range names {
-		g, r, c := graRes.PerFunc[name], rapRes.PerFunc[name], ircRes.PerFunc[name]
+		g, r, c := runs[0].PerFunc[name], runs[1].PerFunc[name], runs[2].PerFunc[name]
 		if g == nil || r == nil || c == nil {
 			continue
 		}
+		gf, rf, cf := progs[0].Func(name), progs[1].Func(name), progs[2].Func(name)
 		out = append(out, Measurement{
 			Func: name, K: k, GRA: *g, RAP: *r, IRC: *c,
-			GRASpillOps: staticSpillOps(graProg.Func(name)),
-			RAPSpillOps: staticSpillOps(rapProg.Func(name)),
-			IRCSpillOps: staticSpillOps(ircProg.Func(name)),
-			GRASize:     staticSize(graProg.Func(name)),
-			RAPSize:     staticSize(rapProg.Func(name)),
-			IRCSize:     staticSize(ircProg.Func(name)),
+			GRASpillOps: staticSpillOps(gf),
+			RAPSpillOps: staticSpillOps(rf),
+			IRCSpillOps: staticSpillOps(cf),
+			GRASize:     staticSize(gf),
+			RAPSize:     staticSize(rf),
+			IRCSize:     staticSize(cf),
 		})
 	}
 	return out, nil
@@ -505,66 +462,23 @@ func Compare(src string, ks []int, cfg CompareConfig) ([]Measurement, error) {
 }
 
 // CompareContext compiles src under GRA, RAP and IRC for each register
-// set size and measures per-routine executed cycles, loads, stores and
-// copies. It verifies that the allocations preserve the unallocated
-// program's behaviour and returns measurements keyed in the order: for
-// each k, each measured routine sorted by name. Cancelling ctx stops
-// in-flight units at their next phase boundary and returns ctx's error.
-//
-// With cfg.Parallel > 1 the per-k units run concurrently on a bounded
-// worker pool; results are re-assembled in k order and each worker's
-// metrics registry is merged back at the join, so the returned
-// measurements — and any attached metrics snapshot — are identical to
-// the sequential run's.
+// set size, in order, and measures per-routine executed cycles, loads,
+// stores and copies. It verifies that the allocations preserve the
+// unallocated program's behaviour and returns measurements keyed in the
+// order: for each k, each measured routine sorted by name. Cancelling
+// ctx stops the comparison at its next phase boundary and returns ctx's
+// error.
 func CompareContext(ctx context.Context, src string, ks []int, cfg CompareConfig) ([]Measurement, error) {
 	ref, err := CompileRef(src, cfg)
 	if err != nil {
 		return nil, err
 	}
-	perK := make([][]Measurement, len(ks))
-	if cfg.Parallel > 1 && len(ks) > 1 {
-		errs := make([]error, len(ks))
-		workers := make([]*obs.Tracer, len(ks))
-		sem := make(chan struct{}, cfg.Parallel)
-		var wg sync.WaitGroup
-		for i, k := range ks {
-			wcfg := cfg
-			wcfg.Trace = cfg.Trace.Fork()
-			workers[i] = wcfg.Trace
-			wg.Add(1)
-			go func(i, k int, wcfg CompareConfig) {
-				defer wg.Done()
-				// Acquire a pool slot or give up on cancellation: a
-				// cancelled comparison must not keep queued units
-				// parked behind the in-flight ones.
-				select {
-				case sem <- struct{}{}:
-				case <-ctx.Done():
-					errs[i] = ctx.Err()
-					return
-				}
-				defer func() { <-sem }()
-				perK[i], errs[i] = CompareAtKContext(ctx, src, k, wcfg, ref)
-			}(i, k, wcfg)
-		}
-		wg.Wait()
-		for _, w := range workers {
-			cfg.Trace.Join(w)
-		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for i, k := range ks {
-			if perK[i], err = CompareAtKContext(ctx, src, k, cfg, ref); err != nil {
-				return nil, err
-			}
-		}
-	}
 	var out []Measurement
-	for _, ms := range perK {
+	for _, k := range ks {
+		ms, err := CompareAtKContext(ctx, src, k, cfg, ref)
+		if err != nil {
+			return nil, err
+		}
 		out = append(out, ms...)
 	}
 	return out, nil

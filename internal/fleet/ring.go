@@ -5,6 +5,10 @@
 // time, and a job that two workers die with is failed, not requeued.
 // Workers share nothing: each keeps its own artifact store.
 //
+// The package serves no HTTP itself. The Router is a serve.Backend, and
+// serve.NewServer(router) gives it the worker's own endpoints and
+// request limits.
+//
 // The routing key is the job's cache key (serve.Job.CacheKey — a
 // SHA-256 over the source text and every result-determining pipeline
 // option, salted by k and the allocator configuration, excluding the

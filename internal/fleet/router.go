@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptrace"
 	"sort"
@@ -44,10 +42,6 @@ type RouterConfig struct {
 	// (default 256): the router's own backpressure, in front of the
 	// workers' 429s.
 	MaxInflight int
-	// MaxBatch and MaxBodyBytes mirror the worker-side request parse
-	// ceilings (defaults 4096 jobs, 32 MiB).
-	MaxBatch     int
-	MaxBodyBytes int64
 	// Metrics receives the fleet.* counters and the router latency
 	// histograms (nil creates a private registry so /metrics always has
 	// content).
@@ -69,12 +63,6 @@ func (cfg *RouterConfig) fill() {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 256
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 4096
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 32 << 20
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewMetrics()
 	}
@@ -86,11 +74,17 @@ func (cfg *RouterConfig) fill() {
 	}
 }
 
+// maxReplyBytes bounds how much of one worker reply the router reads.
+// A reply carries a job's allocated code and output, which can outgrow
+// the job's request.
+const maxReplyBytes = 32 << 20
+
 // Router consistent-hashes jobs onto the worker fleet, health-checks
-// the workers, and requeues jobs around worker loss. It exposes the
-// same HTTP surface as a single rapserved worker (/v1/batch, /v1/jobs,
-// /healthz, /metrics), so clients cannot tell a fleet from one process
-// — except that it survives losing workers.
+// the workers, and requeues jobs around worker loss. It is a
+// serve.Backend: serve.NewServer(router) answers the same HTTP surface
+// as a single rapserved worker, under the same limits, so clients
+// cannot tell a fleet from one process — except that it survives
+// losing workers.
 type Router struct {
 	cfg     RouterConfig
 	ring    *Ring
@@ -104,7 +98,6 @@ type Router struct {
 	// jobSeq names anonymous jobs fleet-<n>: fleet-wide stable IDs that
 	// survive requeues, outside the workers' reserved auto-* namespace.
 	jobSeq  atomic.Int64
-	hs      *http.Server
 	stop    chan struct{}
 	stopped sync.Once
 	wg      sync.WaitGroup
@@ -112,7 +105,7 @@ type Router struct {
 }
 
 // NewRouter validates the config, builds the ring, and starts the
-// health prober. Call Shutdown (or Close) to stop it.
+// health prober. Call Drain to stop it.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	ring, err := NewRing(cfg.Workers, cfg.VNodes)
 	if err != nil {
@@ -225,10 +218,11 @@ type attemptOutcome struct {
 const maxDeaths = 2
 
 // Do routes one job: consistent-hash placement, then requeue on
-// infrastructure failure. It always returns a Result (an error Result
-// when every replica is unreachable or the job killed maxDeaths of
-// them).
-func (rt *Router) Do(ctx context.Context, job serve.Job) serve.Result {
+// infrastructure failure. The router admits every job, waiting for a
+// forwarding slot, so the error is always nil; a job that no replica
+// could take, or that killed maxDeaths of them, comes back as an error
+// Result.
+func (rt *Router) Do(ctx context.Context, job serve.Job) (serve.Result, error) {
 	if job.ID == "" {
 		job.ID = fmt.Sprintf("fleet-%d", rt.jobSeq.Add(1))
 	}
@@ -236,13 +230,32 @@ func (rt *Router) Do(ctx context.Context, job serve.Job) serve.Result {
 	case rt.sem <- struct{}{}:
 		defer func() { <-rt.sem }()
 	case <-ctx.Done():
-		return canceled(ctx, job)
+		return canceled(ctx, job), nil
 	}
 	start := time.Now()
 	res := rt.route(ctx, job)
 	rt.metrics.ObserveDur("fleet.job", time.Since(start))
 	rt.metrics.Add("fleet.jobs."+res.Status, 1)
-	return res
+	return res, nil
+}
+
+// DoBatch routes every job on its own, concurrently, and returns the
+// results in request order. The fleet has no shared queue to reserve a
+// whole batch in — per-job placement is the point — so a saturated
+// worker's 429 becomes a requeue and, last, a per-job error Result;
+// like Do, DoBatch admits every job and its error is always nil.
+func (rt *Router) DoBatch(ctx context.Context, jobs []serve.Job) ([]serve.Result, error) {
+	results := make([]serve.Result, len(jobs))
+	var wg sync.WaitGroup
+	for i, job := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], _ = rt.Do(ctx, job)
+		}()
+	}
+	wg.Wait()
+	return results, nil
 }
 
 // canceled is the result of a job whose caller gave up.
@@ -331,7 +344,7 @@ func (rt *Router) forward(ctx context.Context, worker string, job serve.Job) att
 		return attemptOutcome{died: wrote.Load(), err: fmt.Errorf("worker %s: %w", worker, err)}
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxReplyBytes))
 	if err != nil {
 		rt.down[worker].Store(true)
 		return attemptOutcome{died: true, err: fmt.Errorf("worker %s: read: %w", worker, err)}
@@ -350,143 +363,6 @@ func (rt *Router) forward(ctx context.Context, worker string, job serve.Job) att
 	return attemptOutcome{res: res, final: true}
 }
 
-// Handler returns the router's HTTP surface — also the test seam.
-func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/batch", rt.timed("batch", rt.handleBatch))
-	mux.HandleFunc("/v1/jobs", rt.timed("jobs", rt.handleJob))
-	mux.HandleFunc("/healthz", rt.timed("healthz", rt.handleHealthz))
-	mux.HandleFunc("/metrics", rt.timed("metrics", rt.handleMetrics))
-	return mux
-}
-
-func (rt *Router) timed(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		h(w, r)
-		rt.metrics.Add("fleet.http."+name+".requests", 1)
-		rt.metrics.ObserveDur("fleet.http."+name, time.Since(start))
-	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-type errorBody struct {
-	Error  string `json:"error"`
-	Status string `json:"status"`
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorBody{Error: err.Error(), Status: serve.StatusInvalid})
-}
-
-// decodeBody mirrors the worker-side strict decode: 413 past the body
-// bound, 400 on malformed JSON.
-func (rt *Router) decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s body exceeds %d bytes", what, rt.cfg.MaxBodyBytes))
-			return false
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s body: %w", what, err))
-		return false
-	}
-	return true
-}
-
-// handleBatch splits a batch job-by-job across the ring and reassembles
-// the results in request order. Unlike a single worker's whole-batch
-// admission, the fleet has no shared queue to reserve in — per-job
-// placement is the point — so 429s from saturated workers surface as
-// requeues first and per-job error results last.
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	var req serve.BatchRequest
-	if !rt.decodeBody(w, r, "batch", &req) {
-		return
-	}
-	if len(req.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("batch has no jobs"))
-		return
-	}
-	if len(req.Jobs) > rt.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("batch of %d exceeds limit %d", len(req.Jobs), rt.cfg.MaxBatch))
-		return
-	}
-	if tid := r.Header.Get(serve.TraceHeader); tid != "" {
-		for i := range req.Jobs {
-			if req.Jobs[i].ID == "" {
-				if len(req.Jobs) == 1 {
-					req.Jobs[i].ID = tid
-				} else {
-					req.Jobs[i].ID = fmt.Sprintf("%s-%d", tid, i)
-				}
-			}
-		}
-		w.Header().Set(serve.TraceHeader, tid)
-	}
-	results := make([]serve.Result, len(req.Jobs))
-	var wg sync.WaitGroup
-	for i, job := range req.Jobs {
-		wg.Add(1)
-		go func(i int, job serve.Job) {
-			defer wg.Done()
-			results[i] = rt.Do(r.Context(), job)
-		}(i, job)
-	}
-	wg.Wait()
-	writeJSON(w, http.StatusOK, serve.BatchResponse{Schema: serve.Schema, Results: results})
-}
-
-func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	var job serve.Job
-	if !rt.decodeBody(w, r, "job", &job) {
-		return
-	}
-	if job.ID == "" {
-		job.ID = r.Header.Get(serve.TraceHeader)
-	}
-	res := rt.Do(r.Context(), job)
-	w.Header().Set(serve.TraceHeader, res.ID)
-	writeJSON(w, httpCode(res.Status), res)
-}
-
-// httpCode mirrors the worker-side status mapping so the router is a
-// drop-in replacement for a single worker.
-func httpCode(status string) int {
-	switch status {
-	case serve.StatusOK:
-		return http.StatusOK
-	case serve.StatusInvalid:
-		return http.StatusBadRequest
-	case serve.StatusTimeout:
-		return http.StatusGatewayTimeout
-	case serve.StatusCanceled:
-		return 499
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
 // FleetHealth is the router's /healthz body: its own state plus the
 // per-worker liveness map.
 type FleetHealth struct {
@@ -496,8 +372,8 @@ type FleetHealth struct {
 	UptimeMS     int64             `json:"uptime_ms"`
 }
 
-// Health reports the fleet's current shape.
-func (rt *Router) Health() FleetHealth {
+// HealthBody is the router's /healthz reply: a FleetHealth.
+func (rt *Router) HealthBody() any {
 	h := FleetHealth{State: "ok", Workers: make(map[string]string, len(rt.cfg.Workers))}
 	for _, w := range rt.cfg.Workers {
 		if rt.down[w].Load() {
@@ -511,55 +387,18 @@ func (rt *Router) Health() FleetHealth {
 	return h
 }
 
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.Health())
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := rt.metrics.Snapshot()
-	if r.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		snap.WriteProm(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	snap.WriteJSON(w)
-}
-
 // Metrics returns the router's registry.
 func (rt *Router) Metrics() *obs.Metrics { return rt.metrics }
 
-// ListenAndServe serves the router on addr until Shutdown, reporting
-// the bound address through ready (useful with ":0").
-func (rt *Router) ListenAndServe(addr string, ready func(net.Addr)) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if ready != nil {
-		ready(ln.Addr())
-	}
-	rt.hs = &http.Server{
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	if err := rt.hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
-}
+// MetricsSnapshot is the router's /metrics reply: the fleet.* counters
+// and gauges, the routing latency histogram and the serve.http.*
+// endpoint timings.
+func (rt *Router) MetricsSnapshot() obs.Snapshot { return rt.metrics.Snapshot() }
 
-// Shutdown stops the prober and the HTTP listener, letting in-flight
-// requests finish under ctx's budget. The workers drain themselves.
-func (rt *Router) Shutdown(ctx context.Context) error {
-	var herr error
-	if rt.hs != nil {
-		herr = rt.hs.Shutdown(ctx)
-	}
+// Drain stops the health prober and waits for it, under ctx's budget.
+// The Server in front of the router lets in-flight requests finish
+// first; the workers drain themselves.
+func (rt *Router) Drain(ctx context.Context) error {
 	rt.stopped.Do(func() { close(rt.stop) })
 	done := make(chan struct{})
 	go func() {
@@ -568,17 +407,8 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	return herr
-}
-
-// Close abandons everything immediately (tests, crash path).
-func (rt *Router) Close() error {
-	rt.stopped.Do(func() { close(rt.stop) })
-	if rt.hs != nil {
-		return rt.hs.Close()
-	}
-	return nil
 }

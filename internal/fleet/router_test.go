@@ -53,8 +53,9 @@ func poisonableWorker(t *testing.T, name string, delay time.Duration, canceled *
 				t.Errorf("%s: hijack: %v", name, err)
 				return
 			}
-			conn.Close()
+			// Record the death before the router can see it.
 			died.Store(true)
+			conn.Close()
 			srv.Listener.Close()
 			srv.CloseClientConnections()
 			return
@@ -89,8 +90,8 @@ func newTestRouter(t *testing.T, cfg RouterConfig) *Router {
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		if err := rt.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
+		if err := rt.Drain(ctx); err != nil {
+			t.Errorf("drain: %v", err)
 		}
 		rt.client.CloseIdleConnections()
 	})
@@ -120,7 +121,7 @@ func TestRouterRoutesByCacheKey(t *testing.T) {
 		job := testJob(i)
 		owner := rt.ring.Lookup(job.CacheKey(), 1)[0]
 		for round := 0; round < 2; round++ {
-			res := rt.Do(context.Background(), job)
+			res, _ := rt.Do(context.Background(), job)
 			if res.Status != serve.StatusOK {
 				t.Fatalf("job %d round %d: %q (%s)", i, round, res.Status, res.Error)
 			}
@@ -153,7 +154,7 @@ func TestRouterRequeueOnWorkerKill(t *testing.T) {
 		if rt.ring.Lookup(job.CacheKey(), 1)[0] == dead {
 			deadOwned++
 		}
-		res := rt.Do(context.Background(), job)
+		res, _ := rt.Do(context.Background(), job)
 		if res.Status != serve.StatusOK {
 			t.Fatalf("job %d: %q (%s)", i, res.Status, res.Error)
 		}
@@ -204,7 +205,7 @@ func TestRouterCallerCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res := rt.Do(ctx, job)
+	res, _ := rt.Do(ctx, job)
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("canceled job returned after %s", elapsed)
 	}
@@ -241,7 +242,7 @@ func TestRouterPoisonJob(t *testing.T) {
 	}
 	rt := newTestRouter(t, RouterConfig{Workers: urls})
 
-	res := rt.Do(context.Background(), serve.Job{ID: "poison", Source: "int main() { return 0; } " + poisonMark, Allocator: "rap", K: 5})
+	res, _ := rt.Do(context.Background(), serve.Job{ID: "poison", Source: "int main() { return 0; } " + poisonMark, Allocator: "rap", K: 5})
 	if res.Status != serve.StatusError {
 		t.Fatalf("poison job: status %q (%s), want error", res.Status, res.Error)
 	}
@@ -260,7 +261,7 @@ func TestRouterPoisonJob(t *testing.T) {
 		t.Errorf("fleet.jobs.poison = %d, want 1", c["fleet.jobs.poison"])
 	}
 	for i := 0; i < 10; i++ {
-		res := rt.Do(context.Background(), testJob(i))
+		res, _ := rt.Do(context.Background(), testJob(i))
 		if res.Status != serve.StatusOK || res.Output[0] != survivorName {
 			t.Fatalf("job %d after the poison job: %q served by %v (%s), want ok from %s",
 				i, res.Status, res.Output, res.Error, survivorName)
@@ -278,19 +279,20 @@ func TestRouterPoisonJob(t *testing.T) {
 			break
 		}
 	}
-	if res := rt2.Do(context.Background(), job); res.Status != serve.StatusOK {
+	if res, _ := rt2.Do(context.Background(), job); res.Status != serve.StatusOK {
 		t.Fatalf("job behind two dead workers: %q (%s), want ok from the survivor", res.Status, res.Error)
 	}
 }
 
 // TestRouterBatchEndpoint: the fleet front door speaks the same
-// /v1/batch dialect as a single worker — request-order results, trace
-// seeding, fleet-namespaced IDs for anonymous jobs.
+// /v1/batch dialect as a single worker — request-order results and
+// fleet-namespaced IDs for anonymous jobs. The limits and trace seeding
+// both backends share are in serve's TestHTTPConformance.
 func TestRouterBatchEndpoint(t *testing.T) {
 	w1 := fakeWorker(t, "w1", 0, nil)
 	w2 := fakeWorker(t, "w2", 0, nil)
 	rt := newTestRouter(t, RouterConfig{Workers: []string{w1.URL, w2.URL}})
-	front := httptest.NewServer(rt.Handler())
+	front := httptest.NewServer(serve.NewServer(rt).Handler())
 	defer front.Close()
 
 	req := serve.BatchRequest{}
@@ -327,20 +329,6 @@ func TestRouterBatchEndpoint(t *testing.T) {
 			t.Errorf("result %d: ID %q, want %q (request order broken?)", i, res.ID, req.Jobs[i].ID)
 		}
 	}
-
-	// Oversized bodies are refused with 413, mirroring the workers.
-	rt2 := newTestRouter(t, RouterConfig{Workers: []string{w1.URL}, MaxBodyBytes: 512})
-	front2 := httptest.NewServer(rt2.Handler())
-	defer front2.Close()
-	big, _ := json.Marshal(serve.BatchRequest{Jobs: []serve.Job{{ID: "big", Source: strings.Repeat("x", 4096)}}})
-	resp2, err := http.Post(front2.URL+"/v1/batch", "application/json", bytes.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized batch: HTTP %d, want 413", resp2.StatusCode)
-	}
 }
 
 // TestRouterWaitsOutBackpressure: when every worker answers 429 the job
@@ -366,7 +354,7 @@ func TestRouterWaitsOutBackpressure(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	rt := newTestRouter(t, RouterConfig{Workers: []string{srv.URL}, RequestTimeout: 10 * time.Second})
-	res := rt.Do(context.Background(), testJob(1))
+	res, _ := rt.Do(context.Background(), testJob(1))
 	if res.Status != serve.StatusOK {
 		t.Fatalf("saturated-fleet job: %q (%s), want ok after backoff", res.Status, res.Error)
 	}
@@ -399,13 +387,13 @@ func TestRouterNoGoroutineLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 25; i++ {
-		if res := rt.Do(context.Background(), testJob(i)); res.Status != serve.StatusOK {
+		if res, _ := rt.Do(context.Background(), testJob(i)); res.Status != serve.StatusOK {
 			t.Fatalf("job %d: %q (%s)", i, res.Status, res.Error)
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := rt.Shutdown(ctx); err != nil {
+	if err := rt.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
 	rt.client.CloseIdleConnections()

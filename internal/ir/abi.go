@@ -32,32 +32,8 @@ const ClobberPoison int64 = -0x5CA1AB1E
 // (the callee writes it last, the caller reads it immediately).
 func CallerSaveCount(k int) int { return (k + 1) / 2 }
 
-// IsCallerSave reports whether physical register r is clobbered by calls
-// under a k-register ABI.
-func IsCallerSave(r Reg, k int) bool {
-	return int(r) >= 1 && int(r) <= CallerSaveCount(k)
-}
-
 // IsCalleeSave reports whether physical register r must be preserved by
 // the callee under a k-register ABI.
 func IsCalleeSave(r Reg, k int) bool {
 	return int(r) > CallerSaveCount(k) && int(r) <= k
-}
-
-// CallerSaved lists the caller-save registers r1..r⌈k/2⌉.
-func CallerSaved(k int) []Reg {
-	out := make([]Reg, 0, CallerSaveCount(k))
-	for c := 1; c <= CallerSaveCount(k); c++ {
-		out = append(out, Reg(c))
-	}
-	return out
-}
-
-// CalleeSaved lists the callee-save registers r⌈k/2⌉+1..rk.
-func CalleeSaved(k int) []Reg {
-	out := make([]Reg, 0, k-CallerSaveCount(k))
-	for c := CallerSaveCount(k) + 1; c <= k; c++ {
-		out = append(out, Reg(c))
-	}
-	return out
 }

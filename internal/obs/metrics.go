@@ -81,19 +81,6 @@ func (m *Metrics) SetGauge(name string, v int64) {
 	m.mu.Unlock()
 }
 
-// AddGauge adjusts gauge name by delta (negative deltas allowed) and
-// returns the new level.
-func (m *Metrics) AddGauge(name string, delta int64) int64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	m.gauges[name] += delta
-	v := m.gauges[name]
-	m.mu.Unlock()
-	return v
-}
-
 // ObserveVal records one sample into the value histogram for name.
 // Value histograms count work (iterations, node counts, cycles) and
 // are part of the deterministic sections.

@@ -98,9 +98,6 @@ type Graph struct {
 	blockNode []int
 }
 
-// Entry returns the entry node's ID.
-func (g *Graph) Entry() int { return g.entry }
-
 // NodeOfBlock returns the node ID representing basic block b.
 func (g *Graph) NodeOfBlock(b int) int { return g.blockNode[b] }
 
@@ -247,13 +244,6 @@ func Build(f *ir.Function) (*Graph, error) {
 	}
 	sortEdges(g.Edges)
 	return g, nil
-}
-
-func reachable(cg *cfg.Graph, b int) bool {
-	if b == 0 {
-		return true
-	}
-	return len(cg.Blocks[b].Preds) > 0
 }
 
 func sortedBlocks(cg *cfg.Graph) []int {

@@ -15,8 +15,6 @@ package peephole
 // per-statement-region boundary loads of Fig. 7 collapse to one.
 
 import (
-	"sort"
-
 	"repro/internal/cfg"
 	"repro/internal/ir"
 	"repro/internal/obs"
@@ -73,30 +71,6 @@ func (s *bindState) meet(other *bindState) bool {
 		}
 	}
 	return changed
-}
-
-func (s *bindState) equal(other *bindState) bool {
-	if s.top != other.top {
-		return false
-	}
-	if s.top {
-		return true
-	}
-	if len(s.slots) != len(other.slots) {
-		return false
-	}
-	for slot, regs := range s.slots {
-		oregs, ok := other.slots[slot]
-		if !ok || len(oregs) != len(regs) {
-			return false
-		}
-		for r := range regs {
-			if !oregs[r] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func (s *bindState) holders(slot int64) map[ir.Reg]bool {
@@ -266,14 +240,4 @@ func RunGlobalTraced(f *ir.Function, tr *obs.Tracer) (Stats, error) {
 		f.Instrs = out
 	}
 	return st, nil
-}
-
-// sortedSlots is a test helper exposing deterministic state rendering.
-func (s *bindState) sortedSlots() []int64 {
-	out := make([]int64, 0, len(s.slots))
-	for slot := range s.slots {
-		out = append(out, slot)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

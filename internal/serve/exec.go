@@ -18,7 +18,7 @@ import (
 
 // ExecOptions carries the in-process-only execution knobs a JSON job
 // cannot: the tracer sinks and the instruction-trace writer the CLI
-// flags configure, and the compare fan-out width.
+// flags configure, and the daemon's region memo.
 type ExecOptions struct {
 	// Tracer observes the compilation (and, for run jobs, the
 	// interpreter). nil is free.
@@ -26,10 +26,6 @@ type ExecOptions struct {
 	// InstrTrace, when non-nil, receives one line per executed
 	// instruction (rapcc -trace).
 	InstrTrace io.Writer
-	// Parallel bounds the compare-mode worker pool (0 or 1 means
-	// sequential; the service keeps compare jobs sequential and
-	// parallelizes across jobs instead).
-	Parallel int
 	// Memo, when non-nil, lets RAP reuse memoized region summaries
 	// (rap.Options.Memo) — in the daemon, a persistent store view shared
 	// across jobs and restarts.
@@ -68,7 +64,6 @@ func ExecuteJob(ctx context.Context, job Job, opts ExecOptions) (*Outcome, error
 	case ModeCompare:
 		ccfg := job.compareConfig()
 		ccfg.Trace = opts.Tracer
-		ccfg.Parallel = opts.Parallel
 		ccfg.RAP.Memo = opts.Memo
 		ms, err := core.CompareContext(ctx, job.Source, job.ksOrDefault(), ccfg)
 		if err != nil {

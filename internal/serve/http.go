@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // BatchRequest is the POST /v1/batch body.
@@ -35,38 +37,74 @@ type errorBody struct {
 // span and slow-job line, so one ID follows a request end to end.
 const TraceHeader = "X-Rap-Trace-Id"
 
-// Server is the daemon's HTTP surface over one Runner.
+// MaxRequestBytes bounds one request: an HTTP body (the Server's
+// default MaxBodyBytes) or one line of RunJSONL input.
+const MaxRequestBytes = 8 << 20
+
+// Backend is what a Server serves: one worker's *Runner, or a fleet
+// router in front of many workers. A Server answers the same way over
+// either, so a client cannot tell a fleet from one process.
+type Backend interface {
+	// Do runs one job. A non-nil error means the job was not admitted
+	// (ErrQueueFull, ErrDraining); a job's own failure rides in the
+	// Result.
+	Do(ctx context.Context, job Job) (Result, error)
+	// DoBatch runs jobs and returns their results in request order,
+	// or, if any job is not admitted, that admission error and no
+	// results: callers never get part of a batch.
+	DoBatch(ctx context.Context, jobs []Job) ([]Result, error)
+	// HealthBody is the /healthz reply.
+	HealthBody() any
+	// Metrics is the registry the endpoint timers record into.
+	Metrics() *obs.Metrics
+	// MetricsSnapshot is the /metrics reply.
+	MetricsSnapshot() obs.Snapshot
+	// Drain runs once the Server stops taking requests: it stops the
+	// backend (a Runner's workers, a router's health prober) and waits
+	// for accepted work to finish.
+	Drain(ctx context.Context) error
+}
+
+// Server is the one HTTP surface over a Backend: rapserved serves a
+// Runner through it, raprouter a fleet router.
 type Server struct {
-	runner *Runner
-	hs     *http.Server
+	backend Backend
+	hs      *http.Server
 	// MaxBatch bounds jobs per request (default 1024): a hard parse
-	// ceiling in front of the queue's admission control.
+	// ceiling in front of the backend's admission control.
 	MaxBatch int
-	// MaxBodyBytes bounds every request body (default 8 MiB). Overflow
-	// answers 413 instead of letting one huge POST pin a worker's memory.
+	// MaxBodyBytes bounds every request body (default MaxRequestBytes).
+	// Overflow answers 413 instead of letting one huge POST pin the
+	// process's memory.
 	MaxBodyBytes int64
 	// ReadTimeout bounds reading one request, headers and body (default
 	// 1 minute — a slow-loris body cannot hold a connection open longer).
 	ReadTimeout time.Duration
-	// WriteTimeout bounds handling + writing one response. The default
-	// scales with the runner's shape: a full queue of worst-case jobs
-	// ahead of a batch, plus slack — JobTimeout × (QueueDepth/Workers+2)
-	// — so the ceiling fires on wedged connections, not on honest load.
+	// WriteTimeout bounds handling + writing one response. Over a
+	// Runner the default scales with its shape: a full queue of
+	// worst-case jobs ahead of a batch, plus slack — JobTimeout ×
+	// (QueueDepth/Workers+2) — so the ceiling fires on wedged
+	// connections, not on honest load. Over any other backend the
+	// default is 0 (none): a fleet router bounds each forward with its
+	// own RequestTimeout.
 	WriteTimeout time.Duration
 	// IdleTimeout reaps idle keep-alive connections (default 2 minutes).
 	IdleTimeout time.Duration
 }
 
-// NewServer wraps runner with the service endpoints.
-func NewServer(runner *Runner) *Server {
-	return &Server{
-		runner:       runner,
+// NewServer wraps b with the service endpoints.
+func NewServer(b Backend) *Server {
+	s := &Server{
+		backend:      b,
 		MaxBatch:     1024,
-		MaxBodyBytes: 8 << 20,
+		MaxBodyBytes: MaxRequestBytes,
 		ReadTimeout:  time.Minute,
-		WriteTimeout: runner.cfg.JobTimeout * time.Duration(runner.cfg.QueueDepth/runner.cfg.Workers+2),
 		IdleTimeout:  2 * time.Minute,
 	}
+	if r, ok := b.(*Runner); ok {
+		s.WriteTimeout = r.cfg.JobTimeout * time.Duration(r.cfg.QueueDepth/r.cfg.Workers+2)
+	}
+	return s
 }
 
 // Handler returns the routed endpoints — also the test seam (httptest
@@ -86,7 +124,7 @@ func (s *Server) timed(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		h(w, r)
-		m := s.runner.Metrics()
+		m := s.backend.Metrics()
 		m.Add("serve.http."+name+".requests", 1)
 		m.ObserveDur("serve.http."+name, time.Since(start))
 	}
@@ -126,14 +164,14 @@ func (s *Server) Close() error {
 }
 
 // Shutdown drains gracefully: stop accepting connections, let in-flight
-// requests finish, then drain the runner (queued and running jobs
+// requests finish, then drain the backend (queued and running jobs
 // complete — nothing accepted is lost).
 func (s *Server) Shutdown(ctx context.Context) error {
 	var herr error
 	if s.hs != nil {
 		herr = s.hs.Shutdown(ctx)
 	}
-	if err := s.runner.Drain(ctx); err != nil {
+	if err := s.backend.Drain(ctx); err != nil {
 		return err
 	}
 	return herr
@@ -174,7 +212,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, what string,
 
 // handleBatch runs a batch of jobs: per-job outcomes ride in a 200 body
 // (one bad job does not fail its neighbours); the whole batch is turned
-// away with 429 + Retry-After when the queue cannot take it, and with
+// away with 429 + Retry-After when the backend cannot take it, and with
 // 400 when the request itself cannot be parsed.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -209,26 +247,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set(TraceHeader, tid)
 	}
-	// Whole-batch admission: either every job is accepted or the batch
-	// is turned away, so callers never see a half-run batch on
-	// backpressure.
-	tasks := make([]*Task, len(req.Jobs))
-	for i, job := range req.Jobs {
-		t, err := s.runner.Submit(r.Context(), job)
-		if err != nil {
-			for _, prev := range tasks[:i] {
-				prev.Wait() // let already-accepted jobs finish; results discarded
-			}
-			s.reject(w, err)
-			return
-		}
-		tasks[i] = t
+	results, err := s.backend.DoBatch(r.Context(), req.Jobs)
+	if err != nil {
+		s.reject(w, err)
+		return
 	}
-	resp := BatchResponse{Schema: Schema, Results: make([]Result, len(tasks))}
-	for i, t := range tasks {
-		resp.Results[i] = t.Wait()
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, BatchResponse{Schema: Schema, Results: results})
 }
 
 // handleJob runs a single job. Unlike the batch endpoint, a job-level
@@ -247,7 +271,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if job.ID == "" {
 		job.ID = r.Header.Get(TraceHeader)
 	}
-	res, err := s.runner.Do(r.Context(), job)
+	res, err := s.backend.Do(r.Context(), job)
 	if err != nil {
 		s.reject(w, err)
 		return
@@ -256,7 +280,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, httpCode(res.Status), res)
 }
 
-// reject translates runner admission errors.
+// reject translates backend admission errors.
 func (s *Server) reject(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
@@ -287,21 +311,15 @@ func httpCode(status string) int {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.runner.Health())
+	writeJSON(w, http.StatusOK, s.backend.HealthBody())
 }
 
-// handleMetrics serves the obs metrics snapshot (schema rap/metrics/v2):
-// the serve.* counters/gauges/latency histograms, every pipeline metric
-// the jobs' forked tracers merged back (rap.*, gra.*, interp.*, …), the
-// persistent store's traffic (store.*) when one is attached, and —
-// under "lastjob." — the full allocator metrics snapshot of the most
-// recently executed job. The default rendering is the JSON snapshot;
+// handleMetrics serves the backend's metrics snapshot (schema
+// rap/metrics/v2). The default rendering is the JSON snapshot;
 // ?format=prom serves the same data in the Prometheus text exposition
 // format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.runner.ScrapeGauges()
-	snap := s.runner.Metrics().Snapshot()
-	snap = snap.Overlay("lastjob.", s.runner.LastJobSnapshot())
+	snap := s.backend.MetricsSnapshot()
 	if r.URL.Query().Get("format") == "prom" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.WriteHeader(http.StatusOK)

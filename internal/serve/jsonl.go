@@ -15,11 +15,13 @@ import (
 // slots free up (offline callers get blocking backpressure instead of
 // 429), and blank lines and #-comments are skipped, so a results file
 // can be produced from a hand-maintained job list. The first malformed
-// line aborts with its line number; job-level failures ride in their
-// result line like everywhere else.
+// line, or line longer than MaxRequestBytes, aborts with its line
+// number after the results of the lines before it are written; job-level
+// failures ride in their result line like everywhere else.
 func RunJSONL(ctx context.Context, r *Runner, in io.Reader, out io.Writer) error {
 	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024) // sources can be large
+	// The buffer holds a whole line and its newline.
+	sc.Buffer(make([]byte, 0, 64*1024), MaxRequestBytes+1)
 	enc := json.NewEncoder(out)
 	// A sliding window of in-flight tasks preserves output order while
 	// keeping up to QueueDepth jobs in the pool.
@@ -76,5 +78,11 @@ func RunJSONL(ctx context.Context, r *Runner, in io.Reader, out io.Writer) error
 	if err := flush(true); err != nil {
 		return err
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			return fmt.Errorf("line %d: longer than %d bytes", lineNo+1, MaxRequestBytes)
+		}
+		return err
+	}
+	return nil
 }

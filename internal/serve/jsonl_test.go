@@ -84,6 +84,29 @@ func TestRunJSONLMalformedLine(t *testing.T) {
 	}
 }
 
+// TestRunJSONLLineBound: a line of MaxRequestBytes bytes is a job like
+// any other; one byte more aborts the run naming the line and the bound,
+// after the earlier lines' results are written.
+func TestRunJSONLLineBound(t *testing.T) {
+	r := serve.NewRunner(serve.RunnerConfig{Workers: 1})
+	defer drained(t, r)
+
+	job := fmt.Sprintf("{\"id\":\"edge\",\"source\":%q}", goodSrc)
+	edge := strings.Repeat(" ", serve.MaxRequestBytes-len(job)) + job
+	in := edge + "\n" + " " + edge + "\n"
+	var out bytes.Buffer
+	err := serve.RunJSONL(context.Background(), r, strings.NewReader(in), &out)
+	if err == nil {
+		t.Fatal("over-long line accepted")
+	}
+	if want := fmt.Sprintf("line 2: longer than %d bytes", serve.MaxRequestBytes); err.Error() != want {
+		t.Errorf("error %q, want %q", err, want)
+	}
+	if !strings.Contains(out.String(), `"id":"edge","status":"ok"`) {
+		t.Errorf("line 1's result missing from output:\n%.300s", out.String())
+	}
+}
+
 // TestRunJSONLRunawayRecursion checks that a job recursing without bound
 // fails alone, with the interpreter's call depth error, instead of taking
 // the process (and the job queued behind it) down.

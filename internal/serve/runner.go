@@ -195,10 +195,6 @@ func (r *Runner) warmStart(s *store.Store) {
 // Metrics returns the registry the runner reports into.
 func (r *Runner) Metrics() *obs.Metrics { return r.metrics }
 
-// LastJobSnapshot returns the pipeline metrics snapshot of the most
-// recently executed (non-cached) job, or nil before the first one.
-func (r *Runner) LastJobSnapshot() *obs.Snapshot { return r.lastJob.Load() }
-
 // Workers returns the pool width.
 func (r *Runner) Workers() int { return r.cfg.Workers }
 
@@ -263,36 +259,27 @@ func (r *Runner) Do(ctx context.Context, job Job) (Result, error) {
 	return t.Wait(), nil
 }
 
-// RunBatch submits every job and waits for all of them, preserving input
-// order. Jobs the queue cannot take are reported in-place with
-// StatusError and the backpressure error rather than failing the batch —
-// offline callers that prefer blocking should size the queue to the
-// batch.
-func (r *Runner) RunBatch(ctx context.Context, jobs []Job) []Result {
+// DoBatch submits every job and waits for all of them, preserving input
+// order. Admission is whole-batch: when the queue cannot take some job
+// (ErrQueueFull, ErrDraining) DoBatch returns that error and no results,
+// after letting the jobs it already admitted finish.
+func (r *Runner) DoBatch(ctx context.Context, jobs []Job) ([]Result, error) {
 	tasks := make([]*Task, len(jobs))
-	out := make([]Result, len(jobs))
 	for i, job := range jobs {
 		t, err := r.Submit(ctx, job)
 		if err != nil {
-			out[i] = Result{ID: job.ID, Status: StatusError, Error: err.Error()}
-			continue
+			for _, prev := range tasks[:i] {
+				prev.Wait()
+			}
+			return nil, err
 		}
 		tasks[i] = t
 	}
+	out := make([]Result, len(tasks))
 	for i, t := range tasks {
-		if t != nil {
-			out[i] = t.Wait()
-		}
+		out[i] = t.Wait()
 	}
-	return out
-}
-
-// TryReserve reports whether n more jobs currently fit in the queue —
-// the HTTP layer's whole-batch admission check. It does not hold the
-// reservation; admission and enqueue race benignly (a concurrent burst
-// falls back to per-job rejects).
-func (r *Runner) TryReserve(n int) bool {
-	return int(r.pending.Load())+n <= r.cfg.QueueDepth
+	return out, nil
 }
 
 // Drain stops accepting new work, waits for accepted jobs (queued and
@@ -471,10 +458,18 @@ func (r *Runner) Health() Healthz {
 	}
 }
 
-// ScrapeGauges refreshes the point-in-time gauges a metrics scrape
-// should see fresh: queue depth, in-flight jobs, and worker
-// utilization as a 0–100 percentage.
-func (r *Runner) ScrapeGauges() {
+// HealthBody is the runner's /healthz reply: its Health.
+func (r *Runner) HealthBody() any { return r.Health() }
+
+// MetricsSnapshot is the runner's /metrics reply: the serve.*
+// counters, gauges and latency histograms, every pipeline metric the
+// jobs' forked tracers merged back (rap.*, gra.*, interp.*, …), the
+// persistent store's traffic (store.*) when one is attached, and —
+// under "lastjob." — the full pipeline metrics snapshot of the most
+// recently executed (non-cached) job. The point-in-time gauges (queue
+// depth, in-flight jobs, worker utilization as a 0–100 percentage) are
+// refreshed first.
+func (r *Runner) MetricsSnapshot() obs.Snapshot {
 	inflight := r.inflight.Load()
 	queued := r.pending.Load() - inflight
 	if queued < 0 {
@@ -483,6 +478,7 @@ func (r *Runner) ScrapeGauges() {
 	r.metrics.SetGauge("serve.inflight", inflight)
 	r.metrics.SetGauge("serve.queue.depth", queued)
 	r.metrics.SetGauge("serve.utilization_pct", 100*inflight/int64(r.cfg.Workers))
+	return r.metrics.Snapshot().Overlay("lastjob.", r.lastJob.Load())
 }
 
 // String helps log lines.

@@ -330,7 +330,10 @@ func TestRunnerMixedBatch100(t *testing.T) {
 		}
 	}
 
-	results := r.RunBatch(context.Background(), jobs)
+	results, err := r.DoBatch(context.Background(), jobs)
+	if err != nil {
+		t.Fatalf("DoBatch: %v", err)
+	}
 	if len(results) != len(jobs) {
 		t.Fatalf("got %d results for %d jobs", len(results), len(jobs))
 	}

@@ -37,7 +37,10 @@ func TestRunnerPersistentRestart(t *testing.T) {
 	m1 := obs.NewMetrics()
 	s1 := openStore(m1)
 	r1 := serve.NewRunner(serve.RunnerConfig{Workers: 2, Tracer: obs.New().WithMetrics(m1), Store: s1})
-	first := r1.RunBatch(context.Background(), jobs)
+	first, err := r1.DoBatch(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, res := range first {
 		if res.Status != serve.StatusOK {
 			t.Fatalf("job %d: status %q (%s)", i, res.Status, res.Error)
@@ -77,7 +80,10 @@ func TestRunnerPersistentRestart(t *testing.T) {
 	s2 := openStore(m2)
 	defer s2.Close()
 	r2 := newTestRunner(t, serve.RunnerConfig{Workers: 2, Tracer: obs.New().WithMetrics(m2), Store: s2})
-	second := r2.RunBatch(context.Background(), jobs)
+	second, err := r2.DoBatch(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, res := range second {
 		if res.Status != serve.StatusOK {
 			t.Fatalf("restart job %d: status %q (%s)", i, res.Status, res.Error)

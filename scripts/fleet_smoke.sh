@@ -5,7 +5,9 @@
 # worker comes back on its surviving store directory and must warm-start
 # from it (serve.cache.warm_loaded > 0), and every run's result digest
 # must be byte-identical to a single-node run of the same stream — the
-# fleet changes scheduling, never results.
+# fleet changes scheduling, never results. The router is checked the
+# way serve_smoke.sh checks a worker: it refuses a body over the
+# workers' 8 MiB limit with 413, and its /metrics?format=prom lints.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -35,6 +37,14 @@ start_worker() { # name addr extra-flags...
     wait_healthy "$addr"
 }
 
+# page_has url regexp: the page matches. The page is read whole before
+# grep looks at it: under pipefail, `curl | grep -q` fails whenever grep
+# matches and exits before curl has written the rest of a long page.
+page_has() {
+    local page
+    page=$(curl -sf "$1") && grep -Eq "$2" <<<"$page"
+}
+
 digest_of() { # loadgen-report-file
     grep -o '"digest": "[0-9a-f]*"' "$1" | grep -o '[0-9a-f]\{64\}'
 }
@@ -48,7 +58,7 @@ start_worker solo "$SOLO"
     -fleet "http://$W1,http://$W2,http://$W3" >"$TMP/router.log" 2>&1 &
 ROUTER_PID=$!
 wait_healthy "$ROUTER"
-curl -sf "http://$ROUTER/healthz" | grep -q '"workers_alive": 3' || {
+page_has "http://$ROUTER/healthz" '"workers_alive": 3' || {
     echo "FAIL: router does not see 3 live workers"; cat "$TMP/router.log"; exit 1; }
 
 # Run 1: cold fleet vs single node — the digests must be byte-identical.
@@ -80,10 +90,27 @@ wait $LG || { echo "FAIL: jobs lost after worker kill"; cat "$TMP/fleet2.err" "$
     >"$TMP/solo2.json" 2>/dev/null
 [ "$(digest_of "$TMP/fleet2.json")" = "$(digest_of "$TMP/solo2.json")" ] || {
     echo "FAIL: kill-a-worker run digest differs from single-node digest (seed 2)"; exit 1; }
-curl -sf "http://$ROUTER/metrics" | grep -Eq '"fleet.requeue": [1-9]' || {
+page_has "http://$ROUTER/metrics" '"fleet.requeue": [1-9]' || {
     echo "FAIL: router recorded no requeues after the kill"; exit 1; }
-curl -sf "http://$ROUTER/healthz" | grep -q '"workers_alive": 2' || {
+page_has "http://$ROUTER/healthz" '"workers_alive": 2' || {
     echo "FAIL: router still counts the killed worker alive"; exit 1; }
+
+# The router enforces the workers' request limits itself: a body past
+# 8 MiB is refused with 413 before any worker sees it.
+{ printf '{"jobs":[{"source":"'; head -c $((8 << 20)) /dev/zero | tr '\0' x; printf '"}]}'; } >"$TMP/big.json"
+CODE=$(curl -s -o "$TMP/big.out" -w '%{http_code}' --data-binary @"$TMP/big.json" "http://$ROUTER/v1/batch" || true)
+[ "$CODE" = 413 ] || {
+    echo "FAIL: router answered a POST over 8 MiB with $CODE, want 413"; cat "$TMP/big.out"; exit 1; }
+
+# The router's Prometheus rendering lints and carries its endpoint
+# timings next to the fleet counters.
+curl -sf "http://$ROUTER/metrics?format=prom" >"$TMP/router.prom"
+./scripts/prom_lint.sh "$TMP/router.prom" || {
+    echo "FAIL: router prom exposition does not lint"; cat "$TMP/router.prom"; exit 1; }
+for series in serve_http_jobs_ns_count fleet_requeue_total; do
+    grep -q "^$series" "$TMP/router.prom" || {
+        echo "FAIL: router prom exposition missing $series"; cat "$TMP/router.prom"; exit 1; }
+done
 
 # Restart w3 on the store directory the SIGKILL left behind: run 1
 # already persisted w3's share of the seed-1 work, so it must warm-start
@@ -95,7 +122,7 @@ sleep 0.6  # let the router's health probe revive w3
     >"$TMP/fleet3.json" 2>/dev/null
 [ "$(digest_of "$TMP/fleet3.json")" = "$(digest_of "$TMP/solo2.json")" ] || {
     echo "FAIL: post-restart digest differs from single-node digest"; exit 1; }
-curl -sf "http://$W3/metrics" | grep -Eq '"serve.cache.warm_loaded": [1-9]' || {
+page_has "http://$W3/metrics" '"serve.cache.warm_loaded": [1-9]' || {
     echo "FAIL: restarted worker loaded no results from its own store"
     curl -sf "http://$W3/metrics"; exit 1; }
 
@@ -109,4 +136,4 @@ kill -0 "$ROUTER_PID" 2>/dev/null && { echo "FAIL: router ignored SIGTERM"; exit
 grep -q "drained cleanly" "$TMP/router.log" || {
     echo "FAIL: no clean-drain log line from router"; cat "$TMP/router.log"; exit 1; }
 
-echo "PASS: fleet smoke (3 workers, byte-identical digests, kill+requeue, rejoin warm-start, drain)"
+echo "PASS: fleet smoke (3 workers, byte-identical digests, kill+requeue, 413, prom lint, rejoin warm-start, drain)"
