@@ -9,10 +9,13 @@
 //	rapbench -only sieve,queens  # subset
 //	rapbench -ablate             # per-phase contribution summary
 //	rapbench -merge-stmts        # region-granularity ablation
-//	rapbench -json out.json      # machine-readable record ("rap/bench/v1")
+//	rapbench -csv t1.csv         # also write the rows as CSV
 //	rapbench -parallel 4         # bound the (program,k) worker pool
-//	rapbench -store /tmp/rap     # cold/warm double-run against a persistent region-memo store
 //	rapbench -cpuprofile cpu.pprof -memprofile mem.pprof
+//
+// This command reproduces the paper's tables. Performance is measured by
+// perfbench (perfbench/README.md), whose records
+// `bash perfbench/run.sh compare` diffs.
 package main
 
 import (
@@ -23,6 +26,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -42,12 +46,10 @@ func main() {
 		ablate   = flag.Bool("ablate", false, "compare RAP phase ablations")
 		verify   = flag.Bool("verify", false, "statically verify every allocation against the unallocated reference while measuring")
 		csvOut   = flag.String("csv", "", "also write the rows as CSV to this file")
-		jsonOut  = flag.String("json", "", "write the Table 1 rows plus per-(program,k) wall clock as JSON (schema rap/bench/v1) to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file")
 		suite    = flag.String("suite", "paper", "benchmark set: paper (Table 1 rows) or extended (adds bubble/quick/mm/whetstone/ackermann)")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for the (program,k) comparison units; 1 = sequential (output is identical either way)")
-		storeDir = flag.String("store", "", "run the suite twice (cold, then warm) against a persistent artifact store in this directory and report hit rates; -json writes the rap/bench-store/v1 record")
 	)
 	flag.Parse()
 	// Ctrl-C (or a CI job cancellation) stops pending and in-flight
@@ -101,16 +103,11 @@ func main() {
 		fatal(fmt.Errorf("unknown -suite %q", *suite))
 	}
 	cfg := core.CompareConfig{Lower: lower.Options{MergeStatements: *merge}, Parallel: *parallel, Verify: *verify}
-	cfg.Trace = debugTracer()
-	if *storeDir != "" {
-		runStoreBench(ctx, *storeDir, progs, ks, cfg, *jsonOut, names)
-		return
-	}
-	// A metrics registry is always attached now: the phase-latency table
-	// below needs the duration histograms even when no -json record is
-	// requested. WithMetrics composes with the RAP_DEBUG text tracer.
+	// The phase-latency table after Table 1 needs the duration
+	// histograms of a metrics registry. WithMetrics composes with the
+	// RAP_DEBUG text tracer.
 	metrics := obs.NewMetrics()
-	cfg.Trace = cfg.Trace.WithMetrics(metrics)
+	cfg.Trace = debugTracer().WithMetrics(metrics)
 	rows, err := bench.MeasureTimedContext(ctx, progs, ks, cfg, metrics, names...)
 	if err != nil {
 		fatal(err)
@@ -124,16 +121,6 @@ func main() {
 		}
 		defer f.Close()
 		if err := bench.WriteCSV(f, rows, ks); err != nil {
-			fatal(err)
-		}
-	}
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := bench.WriteJSON(f, rows, ks, metrics); err != nil {
 			fatal(err)
 		}
 	}
@@ -183,15 +170,20 @@ func runAblation(ctx context.Context, ks []int, names []string, parallel int, ve
 // timed phase — compiler spans and allocator inner phases — after
 // Table 1. Quantiles come from the rap/metrics/v2 duration histograms.
 func printPhaseLatencies(snap obs.Snapshot) {
-	lats := bench.PhaseLatencies(snap)
-	if len(lats) == 0 {
+	if len(snap.TimeHistsNS) == 0 {
 		return
 	}
+	phases := make([]string, 0, len(snap.TimeHistsNS))
+	for phase := range snap.TimeHistsNS {
+		phases = append(phases, phase)
+	}
+	sort.Strings(phases)
 	fmt.Printf("\nphase latencies (wall clock)\n")
 	fmt.Printf("%-28s %8s %12s %12s %12s\n", "phase", "count", "p50", "p90", "p99")
-	for _, l := range lats {
+	for _, phase := range phases {
+		h := snap.TimeHistsNS[phase]
 		fmt.Printf("%-28s %8d %12s %12s %12s\n",
-			l.Phase, l.Count, fmtNS(l.P50NS), fmtNS(l.P90NS), fmtNS(l.P99NS))
+			phase, h.Count, fmtNS(h.P50()), fmtNS(h.P90()), fmtNS(h.P99()))
 	}
 }
 

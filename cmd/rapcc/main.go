@@ -31,8 +31,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"repro/internal/core"
+	"repro/internal/interp"
 	"repro/internal/lower"
 	"repro/internal/obs"
 	"repro/internal/regalloc/rap"
@@ -71,7 +73,7 @@ func main() {
 		fatal(err)
 	}
 
-	// Observability: any of -trace-out, -metrics, -stats, -explain and the
+	// Observability: any of -trace-out, -metrics, -explain and the
 	// RAP_DEBUG env var turns the tracer on; with none of them the
 	// pipeline runs with the free nil tracer. The env sniff lives here in
 	// the command — the library depends only on the tracer it is handed.
@@ -94,7 +96,7 @@ func main() {
 		sinks = append(sinks, collector)
 	}
 	var metrics *obs.Metrics
-	if *metricsOut != "" || *stats {
+	if *metricsOut != "" {
 		metrics = obs.NewMetrics()
 	}
 	var tracer *obs.Tracer
@@ -201,26 +203,27 @@ func main() {
 		fmt.Println(line)
 	}
 	if *stats {
-		printStats(metrics)
+		printStats(out.Run)
 	}
 	writeMetrics()
 	os.Exit(int(out.Run.Ret & 0x7f))
 }
 
-// printStats renders the per-routine summary from the metrics registry
-// the interpreter reported into (counters "interp.func.<name>.<field>"
-// and "interp.total.<field>").
-func printStats(metrics *obs.Metrics) {
-	snap := metrics.Snapshot()
+// printStats renders the run's per-routine summary, routines sorted by
+// name, then the program total.
+func printStats(res *interp.Result) {
 	fmt.Printf("%-16s %10s %10s %10s %10s\n", "routine", "cycles", "loads", "stores", "copies")
-	names, rows := snap.GroupCounters("interp.func.")
-	for _, name := range names {
-		s := rows[name]
-		fmt.Printf("%-16s %10d %10d %10d %10d\n", name, s["cycles"], s["loads"], s["stores"], s["copies"])
+	names := make([]string, 0, len(res.PerFunc))
+	for name := range res.PerFunc {
+		names = append(names, name)
 	}
-	_, totals := snap.GroupCounters("interp.")
-	t := totals["total"]
-	fmt.Printf("%-16s %10d %10d %10d %10d\n", "TOTAL", t["cycles"], t["loads"], t["stores"], t["copies"])
+	sort.Strings(names)
+	for _, name := range names {
+		s := res.PerFunc[name]
+		fmt.Printf("%-16s %10d %10d %10d %10d\n", name, s.Cycles, s.Loads, s.Stores, s.Copies)
+	}
+	t := res.Total
+	fmt.Printf("%-16s %10d %10d %10d %10d\n", "TOTAL", t.Cycles, t.Loads, t.Stores, t.Copies)
 }
 
 func fatal(err error) {

@@ -20,8 +20,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fuzz"
 	"repro/internal/obs"
-	"repro/internal/serve"
 )
 
 // Program is one benchmark program and the routines Table 1 reports on.
@@ -133,6 +133,28 @@ func MeasureContext(ctx context.Context, progs []Program, ks []int, cfg core.Com
 	return measure(ctx, progs, ks, cfg, nil, only...)
 }
 
+// MeasureTimed is Measure, additionally recording each (program, k)
+// comparison's wall clock into m as a timing named
+// "bench.<program>.k<k>" and threading m's tracer context through the
+// compilations, so m attributes time to pipeline phases as well as
+// benchmarks. The unallocated reference is compiled once per program and
+// shared across its ks; its cost lands in the first unit's wall clock.
+func MeasureTimed(progs []Program, ks []int, cfg core.CompareConfig, m *obs.Metrics, only ...string) ([]Row, error) {
+	return MeasureTimedContext(context.Background(), progs, ks, cfg, m, only...)
+}
+
+// MeasureTimedContext is MeasureTimed with cancellation (see
+// Table1Context).
+func MeasureTimedContext(ctx context.Context, progs []Program, ks []int, cfg core.CompareConfig, m *obs.Metrics, only ...string) ([]Row, error) {
+	if m == nil {
+		return MeasureContext(ctx, progs, ks, cfg, only...)
+	}
+	if cfg.Trace == nil {
+		cfg.Trace = obs.New().WithMetrics(m)
+	}
+	return measure(ctx, progs, ks, cfg, m, only...)
+}
+
 // measure is the shared harness behind Measure and MeasureTimed. The unit
 // of work is one (program, k) comparison; the unallocated reference for
 // each program is compiled once (guarded by a sync.Once so concurrent
@@ -185,11 +207,7 @@ func measure(ctx context.Context, progs []Program, ks []int, cfg core.CompareCon
 			errs[u] = fmt.Errorf("%s: %w", prog.Name, err)
 			return
 		}
-		// The unit runs through the serve job core's panic-isolated
-		// comparison path — the same one rapserved's workers use — so a
-		// crash in one (program, k) unit surfaces as that unit's error
-		// instead of killing the whole suite.
-		ms, err := serve.CompareUnit(ctx, prog.Source, k, pcfg, ref, 0)
+		ms, err := compareUnit(ctx, prog.Source, k, pcfg, ref)
 		if err != nil {
 			errs[u] = fmt.Errorf("%s: %w", prog.Name, err)
 			return
@@ -260,6 +278,24 @@ func measure(ctx context.Context, progs []Program, ks []int, cfg core.CompareCon
 		}
 	}
 	return rows, nil
+}
+
+// compareUnit runs one (program, k) comparison behind the fuzz isolation
+// boundary, so a panic inside one unit becomes that unit's error instead
+// of taking down the whole suite.
+func compareUnit(ctx context.Context, src string, k int, cfg core.CompareConfig, ref *core.RefRun) ([]core.Measurement, error) {
+	var ms []core.Measurement
+	err := fuzz.RunIsolated(ctx, 0, func(cctx context.Context) error {
+		var uerr error
+		ms, uerr = core.CompareAtKContext(cctx, src, k, cfg, ref)
+		return uerr
+	})
+	if err != nil {
+		// On the cancel path the unit's goroutine may still be writing
+		// ms; return nil without touching it.
+		return nil, err
+	}
+	return ms, nil
 }
 
 // Summary aggregates a Table 1 run the way the paper's last row and §4

@@ -318,9 +318,9 @@ type CompareConfig struct {
 	Parallel int
 	// Trace observes every compilation and interpreter run the
 	// comparison performs. The runs are timed under the "interp" span;
-	// their "interp.func.*" and "interp.total.*" counters sum over the
-	// reference and all three allocations (the per-allocator counts are
-	// in the returned Measurements).
+	// their "interp.total.*" counters and "interp.func.cycles" histogram
+	// sum over the reference and all three allocations (the
+	// per-allocator counts are in the returned Measurements).
 	Trace *obs.Tracer
 }
 

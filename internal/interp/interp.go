@@ -39,7 +39,7 @@ import (
 )
 
 // Stats counts executed instructions by category. The JSON field names
-// are part of rapbench's -json schema ("rap/bench/v1").
+// are part of the serve results' schema ("rap/serve/v1").
 type Stats struct {
 	Cycles int64 `json:"cycles"` // every non-label instruction
 	Loads  int64 `json:"loads"`  // ldm + lds
@@ -72,10 +72,10 @@ type Options struct {
 	// program-wide executed-cycle count at that instruction) — a
 	// debugging aid; tracing does not affect the counted statistics.
 	Trace io.Writer
-	// Tracer, when enabled, times the run under the "interp" span and
-	// publishes the per-function summary through the attached metrics
-	// registry as counters "interp.func.<name>.<cycles|loads|stores|
-	// copies>" plus the "interp.total.*" aggregates.
+	// Tracer, when non-nil, times the run under the "interp" span and
+	// publishes the run's summary through the attached metrics registry:
+	// counters "interp.total.<cycles|loads|stores|copies>" and one
+	// "interp.func.cycles" histogram sample per executed function.
 	Tracer *obs.Tracer
 	// Context, when non-nil, is polled periodically (every few thousand
 	// cycles) so a cancellation or deadline aborts a long-running or
@@ -366,27 +366,24 @@ func (m *machine) push(n int) []int64 {
 	return w
 }
 
-// publish records the run's per-function summary in a metrics registry
-// — the machine-readable form of rapcc's -stats table.
+// publish records the run's summary in a metrics registry. Every key is
+// fixed: a per-function counter would add keys for each new function
+// name a long-lived registry (a serving daemon's) ever sees.
 func (r *Result) publish(reg *obs.Metrics) {
 	if reg == nil {
 		return
 	}
-	record := func(prefix string, s *Stats) {
-		reg.Add(prefix+".cycles", s.Cycles)
-		reg.Add(prefix+".loads", s.Loads)
-		reg.Add(prefix+".stores", s.Stores)
-		reg.Add(prefix+".copies", s.Copies)
-	}
-	for name, st := range r.PerFunc {
-		record("interp.func."+name, st)
+	for _, st := range r.PerFunc {
 		// One histogram sample per measured function: the distribution
 		// of simulated cycle counts across a batch of runs. Cycle counts
 		// are deterministic for a deterministic program, so this stays in
 		// the snapshot's deterministic sections.
 		reg.ObserveVal("interp.func.cycles", st.Cycles)
 	}
-	record("interp.total", &r.Total)
+	reg.Add("interp.total.cycles", r.Total.Cycles)
+	reg.Add("interp.total.loads", r.Total.Loads)
+	reg.Add("interp.total.stores", r.Total.Stores)
+	reg.Add("interp.total.copies", r.Total.Copies)
 }
 
 func f2b(f float64) int64 { return int64(math.Float64bits(f)) }

@@ -196,18 +196,6 @@ func TestSnapshotV2Sections(t *testing.T) {
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 		t.Error("WriteJSON not byte-stable")
 	}
-
-	// Overlay carries every v2 section under the prefix.
-	over := NewMetrics().Snapshot().Overlay("lastjob.", &s)
-	if over.Gauges["lastjob.serve.inflight"] != 5 {
-		t.Errorf("overlay gauges = %v", over.Gauges)
-	}
-	if over.Hists["lastjob.rap.region.iters"].Count != 2 {
-		t.Errorf("overlay hists = %v", over.Hists)
-	}
-	if _, ok := over.TimeHistsNS["lastjob.rap.phase.cost"]; !ok {
-		t.Error("overlay dropped time hists")
-	}
 }
 
 // TestHistSnapshotJSONRoundTrip: the wire form survives encode/decode,

@@ -3,8 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -21,7 +19,9 @@ const SnapshotSchema = "rap/metrics/v2"
 // call sites can thread an optional registry without guards.
 //
 // Naming convention: dot-separated paths, coarse to fine —
-// "rap.spill_rounds", "interp.func.main.cycles", "event.NodeSpilled".
+// "rap.spill_rounds", "rap.memo.hits", "interp.total.cycles". No name
+// carries an identifier from the compiled program, so a long-lived
+// registry's key set stays bounded however many programs it sees.
 //
 // Determinism contract: counters, gauges and value histograms (Hists)
 // depend only on the work performed, so equal work yields byte-equal
@@ -223,44 +223,6 @@ func (s Snapshot) Deterministic() Snapshot {
 	return s
 }
 
-// Overlay copies every section of other into s under the given key
-// prefix — how a scrape composes a secondary snapshot (e.g. the last
-// executed job's pipeline metrics) into a primary one without the two
-// key spaces colliding.
-func (s Snapshot) Overlay(prefix string, other *Snapshot) Snapshot {
-	if other == nil {
-		return s
-	}
-	for k, v := range other.Counters {
-		s.Counters[prefix+k] = v
-	}
-	if len(other.Gauges) > 0 && s.Gauges == nil {
-		s.Gauges = map[string]int64{}
-	}
-	for k, v := range other.Gauges {
-		s.Gauges[prefix+k] = v
-	}
-	if len(other.Hists) > 0 && s.Hists == nil {
-		s.Hists = map[string]HistSnapshot{}
-	}
-	for k, v := range other.Hists {
-		s.Hists[prefix+k] = v
-	}
-	if len(other.TimingsNS) > 0 && s.TimingsNS == nil {
-		s.TimingsNS = map[string]int64{}
-	}
-	for k, v := range other.TimingsNS {
-		s.TimingsNS[prefix+k] = v
-	}
-	if len(other.TimeHistsNS) > 0 && s.TimeHistsNS == nil {
-		s.TimeHistsNS = map[string]HistSnapshot{}
-	}
-	for k, v := range other.TimeHistsNS {
-		s.TimeHistsNS[prefix+k] = v
-	}
-	return s
-}
-
 // WriteJSON writes the snapshot as indented JSON. encoding/json sorts
 // map keys, so the output is byte-stable for equal snapshots.
 func (s Snapshot) WriteJSON(w io.Writer) error {
@@ -270,30 +232,4 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	}
 	_, err = w.Write(append(b, '\n'))
 	return err
-}
-
-// GroupCounters collects counters named "<prefix><key>.<field>" into
-// per-key field maps; e.g. with prefix "interp.func." the counter
-// "interp.func.main.cycles" lands in rows["main"]["cycles"]. Keys are
-// returned sorted.
-func (s Snapshot) GroupCounters(prefix string) (keys []string, rows map[string]map[string]int64) {
-	rows = map[string]map[string]int64{}
-	for name, v := range s.Counters {
-		if !strings.HasPrefix(name, prefix) {
-			continue
-		}
-		rest := name[len(prefix):]
-		i := strings.LastIndexByte(rest, '.')
-		if i <= 0 {
-			continue
-		}
-		key, field := rest[:i], rest[i+1:]
-		if rows[key] == nil {
-			rows[key] = map[string]int64{}
-			keys = append(keys, key)
-		}
-		rows[key][field] = v
-	}
-	sort.Strings(keys)
-	return keys, rows
 }

@@ -4,15 +4,16 @@
 //
 // The tracer is nil-safe: a nil *Tracer (the default everywhere) is a
 // no-op whose methods allocate nothing, so the allocators pay only a
-// pointer comparison on their hot paths. When enabled, typed events
-// (RegionColored, NodeSpilled, SpillHoisted, LoadEliminated,
-// IterationRetried, ...) flow to pluggable sinks — a human-readable text
-// sink and a machine-readable JSONL sink ship with the package — and
-// span timings and event counts accumulate in an attached Metrics
-// registry, snapshotted to a stable JSON schema (see metrics.go).
+// pointer comparison on their hot paths. Typed events (RegionColored,
+// NodeSpilled, SpillHoisted, LoadEliminated, IterationRetried, ...) flow
+// only to pluggable sinks — a human-readable text sink and a
+// machine-readable JSONL sink ship with the package. Span timings
+// accumulate in an attached Metrics registry, snapshotted to a stable
+// JSON schema (see metrics.go); the counts of the decisions the events
+// describe are written there by the allocators themselves.
 //
-// Call sites in hot loops guard event construction with Enabled so the
-// disabled path never materializes an event:
+// Call sites guard event construction with Enabled, so a tracer without
+// sinks never materializes an event:
 //
 //	if tr.Enabled() {
 //		tr.Emit(&obs.NodeSpilled{...})
@@ -32,9 +33,9 @@ type Sink interface {
 	Emit(Event)
 }
 
-// Tracer fans events out to sinks and records span timings and event
-// counts in an optional Metrics registry. The zero of *Tracer (nil) is a
-// valid no-op tracer; all methods are nil-safe.
+// Tracer fans events out to sinks and records span timings in an
+// optional Metrics registry. The zero of *Tracer (nil) is a valid no-op
+// tracer; all methods are nil-safe.
 type Tracer struct {
 	sinks []Sink
 	m     *Metrics
@@ -46,10 +47,10 @@ func New(sinks ...Sink) *Tracer {
 	return &Tracer{sinks: sinks}
 }
 
-// WithMetrics attaches a metrics registry: spans record their duration
-// under their phase name, and every emitted event increments the counter
-// "event.<Kind>". It returns the tracer for chaining; calling it on a
-// nil tracer returns a tracer that records metrics only.
+// WithMetrics attaches a metrics registry: spans and timers record their
+// duration under their phase name, and the pipeline's phases write their
+// counters through it. It returns the tracer for chaining; calling it on
+// a nil tracer returns a tracer that records metrics only.
 func (t *Tracer) WithMetrics(m *Metrics) *Tracer {
 	if t == nil {
 		return &Tracer{m: m}
@@ -111,41 +112,19 @@ func (t *Tracer) Join(w *Tracer) {
 	t.m.Merge(w.m)
 }
 
-// Enabled reports whether emitting is worthwhile: call sites use it to
-// skip constructing events when nobody is listening.
+// Enabled reports whether a sink is attached: Emit delivers only to
+// sinks, so call sites skip constructing events when it is false.
 func (t *Tracer) Enabled() bool {
-	return t != nil && (len(t.sinks) > 0 || t.m != nil)
-}
-
-// HasSinks reports whether any sink is attached. A call site whose event
-// is costly to build checks it: with only a metrics registry attached,
-// Count records the event without building it.
-func (t *Tracer) HasSinks() bool {
 	return t != nil && len(t.sinks) > 0
 }
 
-// Count does what Emit does on a tracer without sinks: it increments the
-// "event.<Kind>" counter. ev only names the kind, so a nil pointer of
-// the event's type will do, e.g. Count((*NodeSpilled)(nil)).
-func (t *Tracer) Count(ev Event) {
-	if t != nil && t.m != nil {
-		t.m.Add("event."+ev.Kind(), 1)
-	}
-}
-
-// Emit delivers ev to every sink and counts it in the metrics
-// registry. When the tracer carries a trace tag (WithTag), sinks see
-// the event wrapped in Tagged; the metrics counter stays keyed by the
-// inner kind so counts remain comparable across tagged and untagged
-// runs.
+// Emit delivers ev to every sink. When the tracer carries a trace tag
+// (WithTag), sinks see the event wrapped in Tagged.
 func (t *Tracer) Emit(ev Event) {
-	if t == nil {
+	if !t.Enabled() {
 		return
 	}
-	if t.m != nil {
-		t.m.Add("event."+ev.Kind(), 1)
-	}
-	if t.tag != "" && len(t.sinks) > 0 {
+	if t.tag != "" {
 		ev = &Tagged{TraceID: t.tag, Event: ev}
 	}
 	for _, s := range t.sinks {
@@ -163,13 +142,16 @@ type Span struct {
 
 // StartSpan begins a timed phase. The phase name is dot-separated by
 // convention ("parse", "rap.color", "interp"); the same name used twice
-// accumulates in the metrics registry. Returns nil (a no-op span) when
-// the tracer is disabled.
+// accumulates in the metrics registry. Sinks see a SpanStart and a
+// SpanEnd. Returns nil (a no-op span) on a tracer with neither sinks
+// nor a registry.
 func (t *Tracer) StartSpan(phase string) *Span {
-	if !t.Enabled() {
+	if !t.Enabled() && t.Metrics() == nil {
 		return nil
 	}
-	t.Emit(&SpanStart{Phase: phase})
+	if t.Enabled() {
+		t.Emit(&SpanStart{Phase: phase})
+	}
 	return &Span{t: t, phase: phase, start: time.Now()}
 }
 
@@ -180,10 +162,10 @@ func (s *Span) End() {
 		return
 	}
 	d := time.Since(s.start)
-	if s.t.m != nil {
-		s.t.m.ObserveDur(s.phase, d)
+	s.t.m.ObserveDur(s.phase, d)
+	if s.t.Enabled() {
+		s.t.Emit(&SpanEnd{Phase: s.phase, DurNS: d.Nanoseconds()})
 	}
-	s.t.Emit(&SpanEnd{Phase: s.phase, DurNS: d.Nanoseconds()})
 }
 
 // noopStop is the shared no-op returned by StartTimer on a disabled

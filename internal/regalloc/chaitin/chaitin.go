@@ -103,11 +103,8 @@ func Allocate(f *ir.Function, k int, opts Options) error {
 				m.ObserveVal("gra.func.iters", int64(iter)+1)
 				m.ObserveVal("gra.func.nodes", int64(graph.NumNodes()))
 			}
-			// The payload names every register: build it only for a sink.
-			if opts.Trace.HasSinks() {
+			if opts.Trace.Enabled() {
 				opts.Trace.Emit(coloredEvent(f.Name, iter, graph))
-			} else {
-				opts.Trace.Count((*obs.RegionColored)(nil))
 			}
 			if err := regalloc.RewriteToPhysical(f, graph, k); err != nil {
 				return fmt.Errorf("chaitin: %w", err)
@@ -118,10 +115,6 @@ func Allocate(f *ir.Function, k int, opts Options) error {
 		}
 		if opts.Trace.Enabled() {
 			for _, n := range res.Spilled {
-				if !opts.Trace.HasSinks() {
-					opts.Trace.Count((*obs.NodeSpilled)(nil))
-					continue
-				}
 				regs := make([]string, len(n.Regs))
 				for i, r := range n.Regs {
 					regs[i] = r.String()

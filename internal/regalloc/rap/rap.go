@@ -306,11 +306,8 @@ func (a *allocator) allocateRegion(V *ir.Region) error {
 				m.ObserveVal("rap.region.iters", int64(iter)+1)
 				m.ObserveVal("rap.region.nodes", int64(gv.NumNodes()))
 			}
-			// The payload names every register: build it only for a sink.
-			if a.opts.Trace.HasSinks() {
+			if a.opts.Trace.Enabled() {
 				a.opts.Trace.Emit(regionColoredEvent(a.f.Name, V, iter, gv))
-			} else {
-				a.opts.Trace.Count((*obs.RegionColored)(nil))
 			}
 			if isEntry {
 				a.graphs[V.ID] = gv
@@ -323,10 +320,6 @@ func (a *allocator) allocateRegion(V *ir.Region) error {
 		}
 		if a.opts.Trace.Enabled() {
 			for _, n := range res.Spilled {
-				if !a.opts.Trace.HasSinks() {
-					a.opts.Trace.Count((*obs.NodeSpilled)(nil))
-					continue
-				}
 				a.opts.Trace.Emit(&obs.NodeSpilled{
 					Func: a.f.Name, Region: V.ID, Iter: iter,
 					Regs: regNames(n.Regs), Cost: n.SpillCost,

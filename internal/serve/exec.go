@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fuzz"
@@ -110,26 +109,6 @@ func executeAlloc(ctx context.Context, job Job, opts ExecOptions) (*Outcome, err
 		out.Run = res
 	}
 	return out, nil
-}
-
-// CompareUnit is the hardened (program, k) comparison unit shared by the
-// bench harness and compare-mode jobs: one core.CompareAtKContext call
-// behind the fuzz isolation boundary, so a panic inside one unit becomes
-// that unit's error instead of taking down the whole suite or daemon.
-// timeout 0 means no deadline beyond ctx's own.
-func CompareUnit(ctx context.Context, src string, k int, cfg core.CompareConfig, ref *core.RefRun, timeout time.Duration) ([]core.Measurement, error) {
-	var ms []core.Measurement
-	err := fuzz.RunIsolated(ctx, timeout, func(cctx context.Context) error {
-		var uerr error
-		ms, uerr = core.CompareAtKContext(cctx, src, k, cfg, ref)
-		return uerr
-	})
-	if err != nil {
-		// On the timeout/cancel path the worker goroutine may still be
-		// writing ms; return nil without touching it.
-		return nil, err
-	}
-	return ms, nil
 }
 
 // resultFromOutcome flattens an in-process outcome into the transport

@@ -112,11 +112,8 @@ type Runner struct {
 	cache   *cache
 	// memo is the persistent region-memo view handed to every RAP
 	// allocation (nil without a store).
-	memo rap.Memo
-	// lastJob holds the pipeline metrics snapshot of the most recently
-	// executed (non-cached) job, exposed by /metrics under "lastjob.".
-	lastJob atomic.Pointer[obs.Snapshot]
-	queue   chan *Task
+	memo  rap.Memo
+	queue chan *Task
 	// pending counts accepted-but-unfinished tasks; it enforces the
 	// queue bound atomically across multi-job batches.
 	pending atomic.Int64
@@ -373,10 +370,6 @@ func (r *Runner) execute(ctx context.Context, job Job, autoID bool) Result {
 		outcome, uerr = ExecuteJob(cctx, job, ExecOptions{Tracer: tr, Memo: r.memo})
 		return uerr
 	})
-	if m := tr.Metrics(); m != nil {
-		snap := m.Snapshot()
-		r.lastJob.Store(&snap)
-	}
 	r.cfg.Tracer.Join(tr)
 	if err != nil {
 		status := Classify(err)
@@ -463,12 +456,10 @@ func (r *Runner) HealthBody() any { return r.Health() }
 
 // MetricsSnapshot is the runner's /metrics reply: the serve.*
 // counters, gauges and latency histograms, every pipeline metric the
-// jobs' forked tracers merged back (rap.*, gra.*, interp.*, …), the
-// persistent store's traffic (store.*) when one is attached, and —
-// under "lastjob." — the full pipeline metrics snapshot of the most
-// recently executed (non-cached) job. The point-in-time gauges (queue
-// depth, in-flight jobs, worker utilization as a 0–100 percentage) are
-// refreshed first.
+// jobs' forked tracers merged back (rap.*, gra.*, interp.*, …) and the
+// persistent store's traffic (store.*) when one is attached. The
+// point-in-time gauges (queue depth, in-flight jobs, worker utilization
+// as a 0–100 percentage) are refreshed first.
 func (r *Runner) MetricsSnapshot() obs.Snapshot {
 	inflight := r.inflight.Load()
 	queued := r.pending.Load() - inflight
@@ -478,7 +469,7 @@ func (r *Runner) MetricsSnapshot() obs.Snapshot {
 	r.metrics.SetGauge("serve.inflight", inflight)
 	r.metrics.SetGauge("serve.queue.depth", queued)
 	r.metrics.SetGauge("serve.utilization_pct", 100*inflight/int64(r.cfg.Workers))
-	return r.metrics.Snapshot().Overlay("lastjob.", r.lastJob.Load())
+	return r.metrics.Snapshot()
 }
 
 // String helps log lines.

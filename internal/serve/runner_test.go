@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -423,5 +424,54 @@ func TestAutoIDReservedNamespace(t *testing.T) {
 	}
 	if res.Status != serve.StatusOK || res.ID != "job-1" {
 		t.Errorf("client ID job-1: status %q id %q, want ok/job-1", res.Status, res.ID)
+	}
+}
+
+// TestRunnerMetricKeysBoundedByFunctionNames: a daemon's registry must
+// not grow with the function names its clients send. Fifty jobs of one
+// shape that differ only in a function's name leave the same metric key
+// set as the first job did.
+func TestRunnerMetricKeysBoundedByFunctionNames(t *testing.T) {
+	r := newTestRunner(t, serve.RunnerConfig{Workers: 1})
+	keys := func() map[string]bool {
+		snap := r.MetricsSnapshot()
+		set := map[string]bool{}
+		for k := range snap.Counters {
+			set["counter "+k] = true
+		}
+		for k := range snap.Hists {
+			set["hist "+k] = true
+		}
+		for k := range snap.TimingsNS {
+			set["timing "+k] = true
+		}
+		return set
+	}
+	var first map[string]bool
+	for i := 1; i <= 50; i++ {
+		src := fmt.Sprintf("int fn%d(int a) { return a + 1; } int main() { print(fn%d(%d)); return 0; }", i, i, i)
+		res, err := r.Do(context.Background(), serve.Job{Source: src, Allocator: "rap", K: 5})
+		if err != nil || res.Status != serve.StatusOK || res.Cached {
+			t.Fatalf("job %d: err %v, status %q (%s), cached %v", i, err, res.Status, res.Error, res.Cached)
+		}
+		if i == 1 {
+			first = keys()
+		}
+	}
+	last := keys()
+	var changed []string
+	for k := range last {
+		if !first[k] {
+			changed = append(changed, "+"+k)
+		}
+	}
+	for k := range first {
+		if !last[k] {
+			changed = append(changed, "-"+k)
+		}
+	}
+	if len(changed) > 0 {
+		sort.Strings(changed)
+		t.Errorf("metric keys changed between job 1 and job 50 (%d of %d after job 1): %v", len(changed), len(first), changed)
 	}
 }

@@ -151,10 +151,10 @@ func TestRunnerMemoPersistsAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestMetricsExposesStoreAndLastJob: one /metrics scrape shows the
-// serve-pool counters, the merged pipeline counters, the store traffic,
-// and the last job's full allocator snapshot under "lastjob.".
-func TestMetricsExposesStoreAndLastJob(t *testing.T) {
+// TestMetricsExposesPipelineAndStore: one /metrics scrape shows the
+// serve-pool counters, the merged pipeline counters and the store
+// traffic.
+func TestMetricsExposesPipelineAndStore(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "artifacts.log")
 	m := obs.NewMetrics()
 	s, err := store.Open(path, store.Options{Metrics: m})
@@ -178,12 +178,9 @@ func TestMetricsExposesStoreAndLastJob(t *testing.T) {
 	for name := range snap.Counters {
 		groups[name[:strings.IndexByte(name+".", '.')]] = true
 	}
-	for _, want := range []string{"serve", "rap", "interp", "store", "lastjob"} {
+	for _, want := range []string{"serve", "rap", "interp", "store"} {
 		if !groups[want] {
 			t.Errorf("/metrics missing %s.* counters (have groups %v)", want, groups)
 		}
-	}
-	if snap.Counters["lastjob.rap.funcs_allocated"] == 0 {
-		t.Error("lastjob overlay missing the job's allocator counters")
 	}
 }
