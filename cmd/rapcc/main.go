@@ -1,6 +1,6 @@
 // Command rapcc compiles a MiniC source file through the reproduction
-// pipeline, optionally allocates registers with RAP or GRA, and runs the
-// result on the counting interpreter. Single-shot execution routes
+// pipeline, optionally allocates registers (RAP, GRA, IRC or naive), and
+// runs the result on the counting interpreter. Single-shot execution routes
 // through the same hardened job core (internal/serve.ExecuteJob) the
 // rapserved daemon uses, so a served result is identical to rapcc's for
 // the same inputs.
@@ -17,7 +17,6 @@
 //	rapcc -compare -ks 3,5,7,9 prog.mc       # per-routine RAP vs GRA table
 //	rapcc -alloc rap -k 5 -trace-out t.jsonl -metrics m.json prog.mc
 //	rapcc -alloc rap -k 3 -run=false -explain r7 prog.mc
-//	rapcc -k 5 -fingerprint prog.mc          # canonical function/region hashes (memo keys)
 //
 // Setting RAP_DEBUG prints text events to stderr — the env var is
 // interpreted here, in the command, never inside the library packages.
@@ -35,9 +34,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/interp"
-	"repro/internal/lower"
 	"repro/internal/obs"
-	"repro/internal/regalloc/rap"
 	"repro/internal/serve"
 )
 
@@ -60,7 +57,6 @@ func main() {
 		traceOut   = flag.String("trace-out", "", "write allocation/pipeline events as JSON lines to this file")
 		metricsOut = flag.String("metrics", "", "write the pipeline metrics snapshot (schema rap/metrics/v2) as JSON to this file")
 		explain    = flag.String("explain", "", "print the named virtual register's allocation history (e.g. r7) and exit")
-		fingerFlag = flag.Bool("fingerprint", false, "print each function's canonical hash and per-region subtree hashes (the incremental memo's cache keys) and exit")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -115,32 +111,6 @@ func main() {
 		if err := metrics.Snapshot().WriteJSON(f); err != nil {
 			fatal(err)
 		}
-	}
-
-	if *fingerFlag {
-		prog, err := core.Frontend(string(src), lower.Options{MergeStatements: *merge}, tracer)
-		if err != nil {
-			fatal(err)
-		}
-		ropts := rap.Options{
-			DisableSpillMotion: *noMotion, DisablePeephole: *noPeep,
-			Coalesce: *coalesce, Rematerialize: *remat,
-		}
-		fps, err := core.Fingerprints(prog, *k, ropts)
-		if err != nil {
-			fatal(err)
-		}
-		for _, ff := range fps {
-			fmt.Printf("%s %s\n", ff.Fp, ff.Func)
-			if ff.PDG != "" {
-				fmt.Printf("  %s pdg\n", ff.PDG)
-			}
-			for _, rf := range ff.Regions {
-				fmt.Printf("  %s region %d (%s, %d regs)\n", rf.Fp, rf.Region, rf.Kind, rf.Regs)
-			}
-		}
-		writeMetrics()
-		return
 	}
 
 	// Single-shot and -compare both route through the serve job core —

@@ -23,32 +23,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fuzz"
-	"repro/internal/lower"
 	"repro/internal/obs"
-	"repro/internal/regalloc/rap"
 )
 
 func main() {
 	os.Exit(run())
-}
-
-// printFingerprints computes and prints the shrunk reproducer's canon
-// fingerprints under the failing configuration, so the case can be
-// cross-referenced against region-memo keys and store artifacts. Best
-// effort: a reproducer the frontend cannot re-lower just skips the
-// fingerprint lines.
-func printFingerprints(fail *fuzz.Failure) {
-	prog, err := core.Frontend(fail.Shrunk, lower.Options{}, nil)
-	if err != nil {
-		return
-	}
-	fps, err := core.Fingerprints(prog, fail.K, rap.Options{})
-	if err != nil {
-		return
-	}
-	for _, ff := range fps {
-		fmt.Fprintf(os.Stderr, "canon fingerprint: %s %s\n", ff.Fp, ff.Func)
-	}
 }
 
 func run() int {
@@ -119,13 +98,10 @@ func run() int {
 		}
 		if fail != nil {
 			// The trace ID names the failing case the way a serve job
-			// would be named, and the canon fingerprint is the exact key
-			// the region memo / artifact store file the case under — both
-			// greppable straight into trace JSONL and store contents.
+			// would be named.
 			traceID := fmt.Sprintf("fuzz-%d-%s-k%d", fail.Seed, fail.Allocator, fail.K)
 			fmt.Fprintf(os.Stderr, "rapfuzz: FAILURE: %v\n", fail)
 			fmt.Fprintf(os.Stderr, "trace id: %s\n", traceID)
-			printFingerprints(fail)
 			fmt.Fprintf(os.Stderr, "\nreproducer (%d lines):\n%s\n", len(strings.Split(fail.Shrunk, "\n")), fail.Shrunk)
 			fmt.Fprintf(os.Stderr, "\nrerun: rapfuzz -seed-start %d -seeds 1 -ks %d -allocs %s\n", fail.Seed, fail.K, fail.Allocator)
 			return 1

@@ -8,7 +8,7 @@
 //
 //	rapserved -addr :8080                 # serve HTTP
 //	rapserved -batch < jobs.jsonl         # offline: one job/result per line
-//	rapserved -store-dir /var/lib/rap     # persist results + region memos across restarts
+//	rapserved -store-dir /var/lib/rap     # persist results across restarts
 //
 // Endpoints:
 //
@@ -58,11 +58,11 @@ func main() {
 		queue      = flag.Int("queue", 0, "accepted-job queue bound (0 = 4x workers)")
 		cacheSize  = flag.Int("cache", 256, "result cache entries (negative disables)")
 		jobTimeout = flag.Duration("job-timeout", 30*time.Second, "per-job wall clock ceiling (jobs may ask for less, never more)")
-		maxCycles  = flag.Int64("max-cycles", 0, "default interpreter cycle budget per run (0 = interpreter default)")
+		maxCycles  = flag.Int64("max-cycles", 0, "interpreter cycle budget per run, and the ceiling on a job's max_cycles (0 = interpreter default)")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain may take before giving up")
 		batch      = flag.Bool("batch", false, "offline mode: read job JSONL from stdin, write result JSONL to stdout, exit")
 		traceOut   = flag.String("trace-out", "", "write allocation/pipeline events as JSON lines to this file")
-		storeDir   = flag.String("store-dir", "", "persist results and region summaries in this directory (warm-started on boot)")
+		storeDir   = flag.String("store-dir", "", "persist results in this directory (warm-started on boot)")
 		storeMax   = flag.Int64("store-max-bytes", 0, "size bound for the persistent store before GC by access time (0 = 64 MiB)")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 		slowJob    = flag.Duration("slow-job", 0, "log a structured line to stderr for any job slower than this (0 = disabled)")
@@ -91,9 +91,9 @@ func main() {
 	}
 	tracer := obs.New(sinks...).WithMetrics(obs.NewMetrics())
 
-	// The persistent artifact store outlives the process: results reload
-	// into the cache on boot and RAP's region memo accumulates across
-	// restarts. It closes after the drain, when no worker can still write.
+	// The persistent store outlives the process: results reload into the
+	// cache on boot. It closes after the drain, when no worker can still
+	// write.
 	var st *store.Store
 	if *storeDir != "" {
 		var err error

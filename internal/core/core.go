@@ -1,7 +1,8 @@
 // Package core is the public face of the reproduction: it wires the MiniC
-// front end, the lowerer, the two register allocators (RAP — the paper's
-// contribution — and the GRA baseline), and the counting interpreter into
-// one pipeline, and computes the paper's evaluation metric.
+// front end, the lowerer, the register allocators (RAP — the paper's
+// contribution — the GRA baseline, IRC and the naive spill-everything
+// allocator), and the counting interpreter into one pipeline, and
+// computes the paper's evaluation metric.
 package core
 
 import (

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -78,15 +79,20 @@ func TestCompileRejectsBadConfig(t *testing.T) {
 }
 
 // TestCompileBadSourceTyped: every front-end rejection — including the
-// degenerate programs a service must answer 400 for — carries the
-// ErrBadSource sentinel and never panics.
+// degenerate programs a service must answer 400 for, and the inputs
+// that would otherwise overflow the stack or exhaust memory — carries
+// the ErrBadSource sentinel and never panics.
 func TestCompileBadSourceTyped(t *testing.T) {
+	const deep = 100_000
 	bad := []struct{ name, src string }{
 		{"empty", ""},
 		{"whitespace", "  \n\t\n"},
 		{"no main", "int f() { return 1; }"},
 		{"syntax error", "int main( {"},
 		{"zero-statement main is fine but undefined name is not", "int main() { return nope; }"},
+		{"deep parentheses", "int main() { return " + strings.Repeat("(", deep) + "1" + strings.Repeat(")", deep) + "; }"},
+		{"long + chain", "int main() { int x = 0" + strings.Repeat("+1", deep) + "; return x; }"},
+		{"huge global", "int g[400000000]; int main() { return g[0]; }"},
 	}
 	for _, tt := range bad {
 		_, err := core.Compile(tt.src, core.Config{Allocator: core.AllocRAP, K: 5})

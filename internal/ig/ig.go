@@ -267,11 +267,7 @@ func (g *Graph) Nodes() []*Node {
 	return out
 }
 
-// NodesByID returns the live nodes in arena (creation) order. Serializing
-// a graph in this order and recreating nodes in the same order rebuilds
-// an arena with identical ids — which is what makes a stored summary
-// graph byte-equivalent to the freshly computed one (adjacency iteration
-// follows ids).
+// NodesByID returns the live nodes in arena (creation) order.
 func (g *Graph) NodesByID() []*Node {
 	out := make([]*Node, 0, g.live)
 	for _, n := range g.nodes {

@@ -57,8 +57,8 @@ func (s *Stats) Add(other Stats) {
 
 // Options configures execution.
 type Options struct {
-	// MaxCycles aborts execution after this many cycles (0 means the
-	// default of 500 million).
+	// MaxCycles aborts execution after this many cycles (0 means
+	// DefaultMaxCycles).
 	MaxCycles int64
 	// StackWords is the most memory frames may use beyond the globals
 	// (0 means the default of 1 << 22): a frame that would end past
@@ -82,6 +82,9 @@ type Options struct {
 	// non-terminating program with the context's error.
 	Context context.Context
 }
+
+// DefaultMaxCycles is the cycle budget of a run whose Options set none.
+const DefaultMaxCycles = 500_000_000
 
 // maxCallDepth bounds the activations live at once. Unbounded MiniC
 // recursion would otherwise grow the Go stack until the runtime kills
@@ -194,7 +197,7 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("interp: program has no main")
 	}
 	if opts.MaxCycles == 0 {
-		opts.MaxCycles = 500_000_000
+		opts.MaxCycles = DefaultMaxCycles
 	}
 	if opts.StackWords == 0 {
 		opts.StackWords = 1 << 22

@@ -58,37 +58,49 @@ type lowerer struct {
 	localOffset int64
 }
 
+// MaxGlobalWords bounds the memory words a program's globals take, the
+// same bound as the interpreter's default stack (1<<22 words, 32 MiB).
+// The interpreter allocates every global before the program starts, so
+// one large array declaration would otherwise be enough to exhaust a
+// worker's memory. The largest Table 1 or extended-suite program needs
+// 9,730 words (livermore).
+const MaxGlobalWords = 1 << 22
+
 func (lw *lowerer) layoutGlobals(prog *ast.Program) error {
 	var addr int64
 	for _, g := range prog.Globals {
 		g.Sym.Addr = addr
+		words := int64(1)
 		if g.IsArr {
-			addr += g.ArrLen
-		} else {
-			if g.Init != nil {
-				switch lit := g.Init.(type) {
-				case *ast.IntLit:
-					if g.Type == ast.Float {
-						lw.out.GlobalInit[g.Sym.Addr] = int64(math.Float64bits(float64(lit.Value)))
-					} else {
-						lw.out.GlobalInit[g.Sym.Addr] = lit.Value
-					}
-				case *ast.FloatLit:
-					lw.out.GlobalInit[g.Sym.Addr] = int64(math.Float64bits(lit.Value))
-				case *ast.Cast:
-					switch inner := lit.X.(type) {
-					case *ast.IntLit:
-						lw.out.GlobalInit[g.Sym.Addr] = int64(math.Float64bits(float64(inner.Value)))
-					case *ast.FloatLit:
-						lw.out.GlobalInit[g.Sym.Addr] = int64(inner.Value)
-					default:
-						return fmt.Errorf("global %s: unsupported initializer", g.Name)
-					}
-				default:
-					return fmt.Errorf("global %s: unsupported initializer", g.Name)
-				}
+			words = g.ArrLen
+		}
+		if words > MaxGlobalWords-addr {
+			return fmt.Errorf("global %s: globals need more than %d words", g.Name, MaxGlobalWords)
+		}
+		addr += words
+		if g.IsArr || g.Init == nil {
+			continue
+		}
+		switch lit := g.Init.(type) {
+		case *ast.IntLit:
+			if g.Type == ast.Float {
+				lw.out.GlobalInit[g.Sym.Addr] = int64(math.Float64bits(float64(lit.Value)))
+			} else {
+				lw.out.GlobalInit[g.Sym.Addr] = lit.Value
 			}
-			addr++
+		case *ast.FloatLit:
+			lw.out.GlobalInit[g.Sym.Addr] = int64(math.Float64bits(lit.Value))
+		case *ast.Cast:
+			switch inner := lit.X.(type) {
+			case *ast.IntLit:
+				lw.out.GlobalInit[g.Sym.Addr] = int64(math.Float64bits(float64(inner.Value)))
+			case *ast.FloatLit:
+				lw.out.GlobalInit[g.Sym.Addr] = int64(inner.Value)
+			default:
+				return fmt.Errorf("global %s: unsupported initializer", g.Name)
+			}
+		default:
+			return fmt.Errorf("global %s: unsupported initializer", g.Name)
 		}
 	}
 	lw.out.GlobalWords = addr

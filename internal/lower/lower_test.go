@@ -1,7 +1,9 @@
 package lower_test
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
@@ -296,5 +298,34 @@ int main() {
 	}
 	if got, want := ast.Print(prog2), text; got != want {
 		t.Errorf("print not stable:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestGlobalWordsBound: globals may take MaxGlobalWords words in all and
+// no more, however the words are split between declarations, and a
+// length near the int64 limit cannot wrap the sum back under the bound.
+func TestGlobalWordsBound(t *testing.T) {
+	lowerGlobals := func(decls string) error {
+		prog, err := parser.Parse(decls + " int main() { return 0; }")
+		if err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		if err := sem.Check(prog); err != nil {
+			t.Fatalf("check: %v", err)
+		}
+		_, err = lower.Lower(prog, lower.Options{})
+		return err
+	}
+	if err := lowerGlobals(fmt.Sprintf("int a[%d]; int b;", lower.MaxGlobalWords-1)); err != nil {
+		t.Errorf("%d words: %v", lower.MaxGlobalWords, err)
+	}
+	for _, decls := range []string{
+		fmt.Sprintf("int a[%d]; int b; int c;", lower.MaxGlobalWords-1),
+		"int g[400000000];",
+		"int x; int a[9223372036854775807];",
+	} {
+		if err := lowerGlobals(decls); err == nil || !strings.Contains(err.Error(), "globals need more than") {
+			t.Errorf("%s: err = %v, want the global words bound", decls, err)
+		}
 	}
 }

@@ -92,16 +92,6 @@ type LoadEliminated struct {
 	Reg    string `json:"reg"`
 }
 
-// RegionMemoReused reports a region subtree whose summary graph was
-// restored from the incremental region memo instead of being allocated:
-// its structural fingerprint matched a stored artifact.
-type RegionMemoReused struct {
-	Func   string `json:"func"`
-	Region int    `json:"region"`
-	Key    string `json:"key"`
-	Nodes  int    `json:"nodes"`
-}
-
 func (*SpanStart) Kind() string        { return "SpanStart" }
 func (*SpanEnd) Kind() string          { return "SpanEnd" }
 func (*RegionColored) Kind() string    { return "RegionColored" }
@@ -109,7 +99,6 @@ func (*NodeSpilled) Kind() string      { return "NodeSpilled" }
 func (*IterationRetried) Kind() string { return "IterationRetried" }
 func (*SpillHoisted) Kind() string     { return "SpillHoisted" }
 func (*LoadEliminated) Kind() string   { return "LoadEliminated" }
-func (*RegionMemoReused) Kind() string { return "RegionMemoReused" }
 
 func (e *SpanStart) text() string { return fmt.Sprintf("span %s: start", e.Phase) }
 func (e *SpanEnd) text() string {
@@ -133,10 +122,6 @@ func (e *SpillHoisted) text() string {
 }
 func (e *LoadEliminated) text() string {
 	return fmt.Sprintf("[%s] peephole: %s slot %d (%s)", e.Func, e.Action, e.Slot, e.Reg)
-}
-func (e *RegionMemoReused) text() string {
-	return fmt.Sprintf("[%s] region %d: reused memoized summary (%d nodes, key %.12s…)",
-		e.Func, e.Region, e.Nodes, e.Key)
 }
 
 // Tagged wraps an event with the trace ID of the job that produced it
@@ -191,8 +176,6 @@ func newEvent(kind string) Event {
 		return &SpillHoisted{}
 	case "LoadEliminated":
 		return &LoadEliminated{}
-	case "RegionMemoReused":
-		return &RegionMemoReused{}
 	}
 	return nil
 }

@@ -19,9 +19,10 @@ const SnapshotSchema = "rap/metrics/v2"
 // call sites can thread an optional registry without guards.
 //
 // Naming convention: dot-separated paths, coarse to fine —
-// "rap.spill_rounds", "rap.memo.hits", "interp.total.cycles". No name
-// carries an identifier from the compiled program, so a long-lived
-// registry's key set stays bounded however many programs it sees.
+// "rap.spill_rounds", "rap.peephole.loads_deleted",
+// "interp.total.cycles". No name carries an identifier from the
+// compiled program, so a long-lived registry's key set stays bounded
+// however many programs it sees.
 //
 // Determinism contract: counters, gauges and value histograms (Hists)
 // depend only on the work performed, so equal work yields byte-equal

@@ -10,11 +10,23 @@ import (
 	"repro/internal/token"
 )
 
+// MaxDepth bounds how deeply a program may nest. Each nested statement,
+// parenthesized expression, unary operand, index and call argument adds
+// a level, and so does each operator of a chain such as 0+1+1+…, whose
+// tree nests one level per operator. The parser and the passes after it
+// recurse over that tree, and a Go stack overflow is fatal to the whole
+// process, so a deeper program is a parse error instead. The deepest
+// Table 1 or extended-suite program nests 18 levels (livermore), and
+// the deepest of 30,000 randprog.DefaultConfig programs 137.
+const MaxDepth = 1000
+
 // Parser parses a MiniC translation unit.
 type Parser struct {
 	toks []token.Token
 	pos  int
 	errs []error
+	// depth is the nesting level of the construct being parsed.
+	depth int
 }
 
 // Parse parses src and returns the program. It returns an error describing
@@ -60,6 +72,16 @@ func (p *Parser) expect(k token.Kind) token.Token {
 		return token.Token{Kind: k, Pos: p.cur().Pos}
 	}
 	return p.next()
+}
+
+// fits reports whether a construct that nests h levels below the
+// current one stays within MaxDepth, recording an error if it does not.
+func (p *Parser) fits(pos token.Pos, h int) bool {
+	if p.depth+h <= MaxDepth {
+		return true
+	}
+	p.errorf(pos, "program nests deeper than %d levels", MaxDepth)
+	return false
 }
 
 func (p *Parser) accept(k token.Kind) bool {
@@ -169,6 +191,11 @@ func (p *Parser) parseBlock() *ast.Block {
 
 func (p *Parser) parseStmt() ast.Stmt {
 	t := p.cur()
+	if !p.fits(t.Pos, 1) {
+		return &ast.Block{}
+	}
+	p.depth++
+	defer func() { p.depth-- }()
 	switch t.Kind {
 	case token.LBrace:
 		return p.parseBlock()
@@ -272,72 +299,108 @@ func (p *Parser) parseSimple() ast.Stmt {
 //	mulExpr  := unary   ( ( * / % ) unary )*
 //	unary    := ( - ! ) unary | primary
 //	primary  := literal | ident | ident "[" expr "]" | ident "(" args ")" | "(" expr ")"
-func (p *Parser) parseExpr() ast.Expr { return p.parseOr() }
-
-func (p *Parser) binary(op token.Token, x, y ast.Expr) ast.Expr {
-	e := &ast.Binary{Op: op.Kind, X: x, Y: y}
-	e.P = op.Pos
+//
+// Each function below also returns the height of the expression it
+// parsed: how many levels it nests below its own (0 for a literal or a
+// name).
+func (p *Parser) parseExpr() ast.Expr {
+	e, _ := p.parseOr()
 	return e
 }
 
-func (p *Parser) parseOr() ast.Expr {
-	x := p.parseAnd()
-	for p.cur().Kind == token.OrOr {
-		op := p.next()
-		x = p.binary(op, x, p.parseAnd())
+// nested parses a subexpression one level down with parse, unless that
+// level would pass MaxDepth: then it records an error and returns a
+// placeholder without descending.
+func (p *Parser) nested(pos token.Pos, parse func() (ast.Expr, int)) (ast.Expr, int) {
+	if !p.fits(pos, 1) {
+		return placeholder(pos), 0
 	}
-	return x
+	p.depth++
+	e, h := parse()
+	p.depth--
+	return e, h + 1
 }
 
-func (p *Parser) parseAnd() ast.Expr {
-	x := p.parseCmp()
-	for p.cur().Kind == token.AndAnd {
-		op := p.next()
-		x = p.binary(op, x, p.parseCmp())
-	}
-	return x
+// placeholder stands in for an expression the parser could not build.
+func placeholder(pos token.Pos) ast.Expr {
+	e := &ast.IntLit{Value: 0}
+	e.P = pos
+	return e
 }
 
-func (p *Parser) parseCmp() ast.Expr {
-	x := p.parseAdd()
+// binary folds one operator into a left-associative chain, reporting
+// false when the chain now nests deeper than MaxDepth.
+func (p *Parser) binary(op token.Token, x ast.Expr, hx int, y ast.Expr, hy int) (ast.Expr, int, bool) {
+	e := &ast.Binary{Op: op.Kind, X: x, Y: y}
+	e.P = op.Pos
+	h := max(hx, hy) + 1
+	return e, h, p.fits(op.Pos, h)
+}
+
+func (p *Parser) parseOr() (ast.Expr, int) {
+	x, h := p.parseAnd()
+	for ok := true; ok && p.cur().Kind == token.OrOr; {
+		op := p.next()
+		y, hy := p.parseAnd()
+		x, h, ok = p.binary(op, x, h, y, hy)
+	}
+	return x, h
+}
+
+func (p *Parser) parseAnd() (ast.Expr, int) {
+	x, h := p.parseCmp()
+	for ok := true; ok && p.cur().Kind == token.AndAnd; {
+		op := p.next()
+		y, hy := p.parseCmp()
+		x, h, ok = p.binary(op, x, h, y, hy)
+	}
+	return x, h
+}
+
+func (p *Parser) parseCmp() (ast.Expr, int) {
+	x, h := p.parseAdd()
 	switch p.cur().Kind {
 	case token.EqEq, token.NotEq, token.Lt, token.Le, token.Gt, token.Ge:
 		op := p.next()
-		x = p.binary(op, x, p.parseAdd())
+		y, hy := p.parseAdd()
+		x, h, _ = p.binary(op, x, h, y, hy)
 	}
-	return x
+	return x, h
 }
 
-func (p *Parser) parseAdd() ast.Expr {
-	x := p.parseMul()
-	for p.cur().Kind == token.Plus || p.cur().Kind == token.Minus {
+func (p *Parser) parseAdd() (ast.Expr, int) {
+	x, h := p.parseMul()
+	for ok := true; ok && (p.cur().Kind == token.Plus || p.cur().Kind == token.Minus); {
 		op := p.next()
-		x = p.binary(op, x, p.parseMul())
+		y, hy := p.parseMul()
+		x, h, ok = p.binary(op, x, h, y, hy)
 	}
-	return x
+	return x, h
 }
 
-func (p *Parser) parseMul() ast.Expr {
-	x := p.parseUnary()
-	for p.cur().Kind == token.Star || p.cur().Kind == token.Slash || p.cur().Kind == token.Percent {
+func (p *Parser) parseMul() (ast.Expr, int) {
+	x, h := p.parseUnary()
+	for ok := true; ok && (p.cur().Kind == token.Star || p.cur().Kind == token.Slash || p.cur().Kind == token.Percent); {
 		op := p.next()
-		x = p.binary(op, x, p.parseUnary())
+		y, hy := p.parseUnary()
+		x, h, ok = p.binary(op, x, h, y, hy)
 	}
-	return x
+	return x, h
 }
 
-func (p *Parser) parseUnary() ast.Expr {
+func (p *Parser) parseUnary() (ast.Expr, int) {
 	t := p.cur()
 	if t.Kind == token.Minus || t.Kind == token.Not {
 		p.next()
-		e := &ast.Unary{Op: t.Kind, X: p.parseUnary()}
+		x, h := p.nested(t.Pos, p.parseUnary)
+		e := &ast.Unary{Op: t.Kind, X: x}
 		e.P = t.Pos
-		return e
+		return e, h
 	}
 	return p.parsePrimary()
 }
 
-func (p *Parser) parsePrimary() ast.Expr {
+func (p *Parser) parsePrimary() (ast.Expr, int) {
 	t := p.cur()
 	switch t.Kind {
 	case token.INT:
@@ -348,7 +411,7 @@ func (p *Parser) parsePrimary() ast.Expr {
 		}
 		e := &ast.IntLit{Value: v}
 		e.P = t.Pos
-		return e
+		return e, 0
 	case token.FLOAT:
 		p.next()
 		v, err := strconv.ParseFloat(t.Text, 64)
@@ -357,45 +420,46 @@ func (p *Parser) parsePrimary() ast.Expr {
 		}
 		e := &ast.FloatLit{Value: v}
 		e.P = t.Pos
-		return e
+		return e, 0
 	case token.IDENT:
 		p.next()
 		switch p.cur().Kind {
 		case token.LBracket:
 			p.next()
-			idx := p.parseExpr()
+			idx, h := p.nested(t.Pos, p.parseOr)
 			p.expect(token.RBracket)
 			e := &ast.Index{Name: t.Text, Index: idx}
 			e.P = t.Pos
-			return e
+			return e, h
 		case token.LParen:
 			p.next()
 			e := &ast.Call{Name: t.Text}
 			e.P = t.Pos
+			h := 0
 			if p.cur().Kind != token.RParen {
 				for {
-					e.Args = append(e.Args, p.parseExpr())
+					arg, ha := p.nested(t.Pos, p.parseOr)
+					e.Args = append(e.Args, arg)
+					h = max(h, ha)
 					if !p.accept(token.Comma) {
 						break
 					}
 				}
 			}
 			p.expect(token.RParen)
-			return e
+			return e, h
 		default:
 			e := &ast.Ident{Name: t.Text}
 			e.P = t.Pos
-			return e
+			return e, 0
 		}
 	case token.LParen:
 		p.next()
-		e := p.parseExpr()
+		e, h := p.nested(t.Pos, p.parseOr)
 		p.expect(token.RParen)
-		return e
+		return e, h
 	}
 	p.errorf(t.Pos, "expected expression, found %s", t)
 	p.next()
-	e := &ast.IntLit{Value: 0}
-	e.P = t.Pos
-	return e
+	return placeholder(t.Pos), 0
 }

@@ -172,3 +172,38 @@ int main() {
 		t.Errorf("printed program looks wrong:\n%s", text)
 	}
 }
+
+// TestNestingDepthBound: a program may nest MaxDepth levels and no more,
+// whichever construct nests: parentheses, unary operators, each operator
+// of a left-associative chain, indexing, call arguments or statements.
+// An input a hundred times deeper fails the same way, without the parser
+// recursing past the bound.
+func TestNestingDepthBound(t *testing.T) {
+	shapes := map[string]func(n int) string{
+		"parentheses": func(n int) string {
+			return "int x = " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + ";"
+		},
+		"chain": func(n int) string { return "int x = 0" + strings.Repeat("+1", n) + ";" },
+		"unary": func(n int) string { return "int x = " + strings.Repeat("-", n) + "1;" },
+		"index": func(n int) string {
+			return "int x = " + strings.Repeat("a[", n) + "0" + strings.Repeat("]", n) + ";"
+		},
+		"call": func(n int) string {
+			return "int x = " + strings.Repeat("f(1, ", n) + "0" + strings.Repeat(")", n) + ";"
+		},
+		"statements": func(n int) string {
+			return "void f() {" + strings.Repeat("{", n) + strings.Repeat("}", n) + "}"
+		},
+	}
+	for name, shape := range shapes {
+		if _, err := parser.Parse(shape(parser.MaxDepth)); err != nil {
+			t.Errorf("%s: %d levels: %v", name, parser.MaxDepth, err)
+		}
+		for _, n := range []int{parser.MaxDepth + 1, 100 * parser.MaxDepth} {
+			_, err := parser.Parse(shape(n))
+			if err == nil || !strings.Contains(err.Error(), "nests deeper than") {
+				t.Errorf("%s: %d levels: err = %v, want the nesting bound", name, n, err)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package pdg_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -293,6 +294,47 @@ func TestCrossCheckRandomPrograms(t *testing.T) {
 							seed, f.Name, n.ID, c, label)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestBuildStableAcrossReparse: compiling the same source twice and
+// building each function's PDG yields the same nodes and edges, in the
+// same order, over a corpus of random programs.
+func TestBuildStableAcrossReparse(t *testing.T) {
+	build := func(src string) map[string]*pdg.Graph {
+		t.Helper()
+		p, err := testutil.Compile(src, lower.Options{})
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		out := map[string]*pdg.Graph{}
+		for _, f := range p.Funcs {
+			g, err := pdg.Build(f)
+			if err != nil {
+				t.Fatalf("pdg.Build(%s): %v", f.Name, err)
+			}
+			out[f.Name] = g
+		}
+		return out
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		src := randprog.Generate(seed, randprog.DefaultConfig())
+		a, b := build(src), build(src)
+		if len(a) == 0 || len(a) != len(b) {
+			t.Fatalf("seed %d: %d then %d functions", seed, len(a), len(b))
+		}
+		for name, ga := range a {
+			gb := b[name]
+			if gb == nil {
+				t.Fatalf("seed %d: %s missing from the second build", seed, name)
+			}
+			if !reflect.DeepEqual(ga.Nodes, gb.Nodes) {
+				t.Errorf("seed %d: %s nodes differ across re-parses", seed, name)
+			}
+			if !reflect.DeepEqual(ga.Edges, gb.Edges) {
+				t.Errorf("seed %d: %s edges differ across re-parses", seed, name)
 			}
 		}
 	}

@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"repro/internal/bitset"
-	"repro/internal/canon"
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/ig"
@@ -62,13 +61,6 @@ type Options struct {
 	// in the commands (rapcc/rapbench/rapserved), which decide the sink
 	// and pass it down here.
 	Trace *obs.Tracer
-	// Memo, when non-nil, memoizes region allocations: before allocating
-	// a region subtree the allocator looks up the subtree's structural
-	// fingerprint (internal/canon) and on a hit reuses the recorded
-	// summary graph instead of recursing. Only spill-free subtrees are
-	// recorded, and all memoization stops at the function's first spill
-	// edit, so memoized allocations are byte-identical to cold ones.
-	Memo Memo
 }
 
 // Stats reports what each phase of a RAP allocation did.
@@ -92,12 +84,6 @@ type Stats struct {
 	// CopiesRemoved counts i2i r=>r instructions deleted after the
 	// rewrite to physical registers.
 	CopiesRemoved int
-	// MemoHits/MemoMisses/MemoStores report region-memo traffic (zero
-	// unless Options.Memo): subtrees served from a recorded summary,
-	// lookups that found nothing, and summaries recorded.
-	MemoHits   int
-	MemoMisses int
-	MemoStores int
 }
 
 // Allocate rewrites f to use at most k physical registers by hierarchical
@@ -130,7 +116,6 @@ func AllocateWithStats(f *ir.Function, k int, opts Options) (Stats, error) {
 	if err := a.reanalyze(); err != nil {
 		return Stats{}, err
 	}
-	a.initMemo()
 	// Phase 1: bottom-up allocation. The entry region's colouring is the
 	// physical register assignment.
 	sp1 := opts.Trace.StartSpan("rap.color")
@@ -192,9 +177,6 @@ func (a *allocator) recordStats() {
 	m.Add("rap.peephole.loads_to_copies", int64(a.stats.Peephole.LoadsToCopies))
 	m.Add("rap.peephole.stores_deleted", int64(a.stats.Peephole.StoresDeleted))
 	m.Add("rap.copies_removed", int64(a.stats.CopiesRemoved))
-	m.Add("rap.memo.hits", int64(a.stats.MemoHits))
-	m.Add("rap.memo.misses", int64(a.stats.MemoMisses))
-	m.Add("rap.memo.stores", int64(a.stats.MemoStores))
 	m.Add("rap.funcs_allocated", 1)
 }
 
@@ -232,13 +214,6 @@ type allocator struct {
 	// tab is the register index lent to each region graph as it is
 	// built; the graph built last holds it.
 	tab ig.Table
-
-	// Region-memo state (nil unless Options.Memo and still pristine).
-	// hasher fingerprints subtrees against the initial analysis; it is
-	// dropped by memoDisable at the first spill edit. memoKeys caches the
-	// key computed by memoLookup so memoRecord reuses it.
-	hasher   *canon.Hasher
-	memoKeys map[int]canon.RegionKey
 
 	// scratch holds the reusable dense buffers behind the per-region
 	// helper sets.
@@ -281,10 +256,6 @@ func (a *allocator) reanalyze() error {
 // allocateRegion runs the Fig. 2 procedure on region V after recursively
 // allocating its subregions.
 func (a *allocator) allocateRegion(V *ir.Region) error {
-	if g, ok := a.memoLookup(V); ok {
-		a.graphs[V.ID] = g
-		return nil
-	}
 	for _, s := range V.Children {
 		if err := a.allocateRegion(s); err != nil {
 			return err
@@ -312,9 +283,7 @@ func (a *allocator) allocateRegion(V *ir.Region) error {
 			if isEntry {
 				a.graphs[V.ID] = gv
 			} else {
-				sum := gv.Combine()
-				a.graphs[V.ID] = sum
-				a.memoRecord(V, sum)
+				a.graphs[V.ID] = gv.Combine()
 			}
 			return nil
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/lower"
 	"repro/internal/obs"
+	"repro/internal/randprog"
 	"repro/internal/regalloc"
 	"repro/internal/regalloc/rap"
 	"repro/internal/testutil"
@@ -216,55 +217,53 @@ func TestRAPDeterministic(t *testing.T) {
 	}
 
 	// A randprog corpus at k=3, where most functions take spill rounds,
-	// allocated twice with the memo off and twice against copies of one
-	// warm store: the code, the stats, the deterministic metrics snapshot
-	// and the trace event sequence must all repeat.
+	// each function allocated twice: the code, the stats, the
+	// deterministic metrics snapshot and the trace event sequence must all
+	// repeat.
 	const k = 3
-	warm := rap.NewMapMemo()
-	hits := 0
-	memoCorpus(t, 20, func(seed int64, f *ir.Function) {
-		// Warm the store with f itself, so the memo leg takes hits as well
-		// as misses and stores. An allocation error shows up again in the
-		// runs compared below.
-		_, _ = rap.AllocateWithStats(f.Clone(), k, rap.Options{Memo: warm})
-		for _, useMemo := range []bool{false, true} {
-			opts := func() rap.Options {
-				if useMemo {
-					return rap.Options{Memo: cloneMemo(t, warm)}
-				}
-				return rap.Options{}
-			}
-			wantText, wantSt, wantSnap, wantEvs, wantErr := allocTraced(t, f, k, opts())
-			gotText, gotSt, gotSnap, gotEvs, gotErr := allocTraced(t, f, k, opts())
-			where := func() string {
-				return fmt.Sprintf("seed %d func %s k=%d memo=%v", seed, f.Name, k, useMemo)
-			}
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("%s: error divergence: %v vs %v", where(), wantErr, gotErr)
-			}
-			if wantErr != nil {
-				continue
-			}
-			if wantText != gotText {
-				t.Fatalf("%s: allocation differs:\n--- first ---\n%s\n--- second ---\n%s",
-					where(), wantText, gotText)
-			}
-			if wantSt != gotSt {
-				t.Fatalf("%s: stats diverge:\nfirst:  %+v\nsecond: %+v", where(), wantSt, gotSt)
-			}
-			if !reflect.DeepEqual(wantSnap, gotSnap) {
-				t.Fatalf("%s: deterministic metrics diverge:\nfirst:  %+v\nsecond: %+v",
-					where(), wantSnap, gotSnap)
-			}
-			if strings.Join(wantEvs, "\n") != strings.Join(gotEvs, "\n") {
-				t.Fatalf("%s: trace events diverge:\n--- first ---\n%s\n--- second ---\n%s",
-					where(), strings.Join(wantEvs, "\n"), strings.Join(gotEvs, "\n"))
-			}
-			hits += wantSt.MemoHits
+	randCorpus(t, 20, func(seed int64, f *ir.Function) {
+		wantText, wantSt, wantSnap, wantEvs, wantErr := allocTraced(t, f, k, rap.Options{})
+		gotText, gotSt, gotSnap, gotEvs, gotErr := allocTraced(t, f, k, rap.Options{})
+		where := func() string {
+			return fmt.Sprintf("seed %d func %s k=%d", seed, f.Name, k)
+		}
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("%s: error divergence: %v vs %v", where(), wantErr, gotErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		if wantText != gotText {
+			t.Fatalf("%s: allocation differs:\n--- first ---\n%s\n--- second ---\n%s",
+				where(), wantText, gotText)
+		}
+		if wantSt != gotSt {
+			t.Fatalf("%s: stats diverge:\nfirst:  %+v\nsecond: %+v", where(), wantSt, gotSt)
+		}
+		if !reflect.DeepEqual(wantSnap, gotSnap) {
+			t.Fatalf("%s: deterministic metrics diverge:\nfirst:  %+v\nsecond: %+v",
+				where(), wantSnap, gotSnap)
+		}
+		if strings.Join(wantEvs, "\n") != strings.Join(gotEvs, "\n") {
+			t.Fatalf("%s: trace events diverge:\n--- first ---\n%s\n--- second ---\n%s",
+				where(), strings.Join(wantEvs, "\n"), strings.Join(gotEvs, "\n"))
 		}
 	})
-	if hits == 0 {
-		t.Fatal("the warm memo was never hit")
+}
+
+// randCorpus compiles a deterministic randprog corpus and calls fn for
+// every function.
+func randCorpus(t *testing.T, seeds int64, fn func(seed int64, f *ir.Function)) {
+	t.Helper()
+	cfg := randprog.Config{MaxFuncs: 2, MaxStmtsPerBlock: 5, MaxDepth: 3, Floats: true}
+	for seed := int64(0); seed < seeds; seed++ {
+		p, err := testutil.Compile(randprog.Generate(seed, cfg), lower.Options{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, f := range p.Funcs {
+			fn(seed, f)
+		}
 	}
 }
 
@@ -296,19 +295,6 @@ func eventSig(ev obs.Event) string {
 		return "encode-error:" + err.Error()
 	}
 	return string(b)
-}
-
-// cloneMemo copies a MapMemo so a run can consume (and extend) the warm
-// state without the next run seeing its writes.
-func cloneMemo(t *testing.T, m *rap.MapMemo) *rap.MapMemo {
-	t.Helper()
-	out := rap.NewMapMemo()
-	for _, kv := range m.Items() {
-		if err := out.Put(kv.Key, kv.Val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out
 }
 
 func TestRAPRejectsTinyK(t *testing.T) {

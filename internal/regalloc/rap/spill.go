@@ -24,9 +24,6 @@ import (
 //     load before its uses and each loaded use has stores after its
 //     definitions).
 func (a *allocator) insertSpillCode(V *ir.Region, spilledNodes []*ig.Node) error {
-	// The first spill edit ends memoization for this function: region
-	// contents are about to diverge from their fingerprints.
-	a.memoDisable()
 	span := a.spans[V.ID]
 	edit := regalloc.NewEdit()
 	rec := a.spilledIn[V.ID]

@@ -28,7 +28,8 @@ type reply struct {
 // a Runner and a Server over a fleet Router in front of that Runner's
 // Server. Both fronts run with NewServer's default limits, and every
 // case must get the same status code from both; where the case is an
-// error, the same body too.
+// error, the same body too, apart from a job result's wall-clock
+// duration_ms.
 func TestHTTPConformance(t *testing.T) {
 	runner := newTestRunner(t, serve.RunnerConfig{Workers: 2})
 	worker := serve.NewServer(runner)
@@ -53,6 +54,15 @@ func TestHTTPConformance(t *testing.T) {
 	job := fmt.Sprintf(`{"source":%q,"allocator":"rap","k":5}`, goodSrc)
 	overMaxBatch := `{"jobs":[{}` + strings.Repeat(`,{}`, worker.MaxBatch) + `]}`
 	hugeSource := fmt.Sprintf(`{"source":"%s"}`, strings.Repeat("x", int(worker.MaxBodyBytes)))
+	// Sources that would overflow a worker's stack or exhaust its memory
+	// without the front end's bounds.
+	const deep = 100_000
+	hostile := func(id, src string) string {
+		return fmt.Sprintf(`{"id":%q,"source":%q,"allocator":"rap","k":5}`, id, src)
+	}
+	deepParens := hostile("deep-parens", "int main() { return "+strings.Repeat("(", deep)+"1"+strings.Repeat(")", deep)+"; }")
+	longChain := hostile("long-chain", "int main() { int x = 0"+strings.Repeat("+1", deep)+"; return x; }")
+	hugeGlobal := hostile("huge-global", "int g[400000000]; int main() { return g[0]; }")
 
 	cases := []struct {
 		name, method, path, trace, body string
@@ -69,6 +79,9 @@ func TestHTTPConformance(t *testing.T) {
 		{name: "batch over MaxBatch", path: "/v1/batch", body: overMaxBatch, code: http.StatusBadRequest},
 		{name: "job over MaxBodyBytes", path: "/v1/jobs", body: hugeSource, code: http.StatusRequestEntityTooLarge},
 		{name: "batch over MaxBodyBytes", path: "/v1/batch", body: `{"jobs":[` + hugeSource + `]}`, code: http.StatusRequestEntityTooLarge},
+		{name: "deep parentheses", path: "/v1/jobs", body: deepParens, code: http.StatusBadRequest},
+		{name: "long + chain", path: "/v1/jobs", body: longChain, code: http.StatusBadRequest},
+		{name: "huge global", path: "/v1/jobs", body: hugeGlobal, code: http.StatusBadRequest},
 		{name: "trace ID names a job", path: "/v1/jobs", trace: "conf-1", body: job, code: http.StatusOK,
 			check: func(t *testing.T, r reply) {
 				var res serve.Result
@@ -133,11 +146,26 @@ func TestHTTPConformance(t *testing.T) {
 				}
 				replies = append(replies, r)
 			}
-			if tc.code >= 400 && !bytes.Equal(replies[0].body, replies[1].body) {
+			if tc.code >= 400 && !bytes.Equal(withoutDuration(replies[0].body), withoutDuration(replies[1].body)) {
 				t.Errorf("error bodies differ:\nrunner: %s\nrouter: %s", replies[0].body, replies[1].body)
 			}
 		})
 	}
+}
+
+// withoutDuration drops duration_ms, the wall clock of the job behind a
+// result body, and leaves every other field for comparison.
+func withoutDuration(body []byte) []byte {
+	var fields map[string]json.RawMessage
+	if json.Unmarshal(body, &fields) != nil {
+		return body
+	}
+	delete(fields, "duration_ms")
+	out, err := json.Marshal(fields)
+	if err != nil {
+		return body
+	}
+	return out
 }
 
 // request sends one request (POST unless method says otherwise) and

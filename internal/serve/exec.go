@@ -11,13 +11,12 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/obs"
-	"repro/internal/regalloc/rap"
 	"repro/internal/verify"
 )
 
 // ExecOptions carries the in-process-only execution knobs a JSON job
 // cannot: the tracer sinks and the instruction-trace writer the CLI
-// flags configure, and the daemon's region memo.
+// flags configure.
 type ExecOptions struct {
 	// Tracer observes the compilation (and, for run jobs, the
 	// interpreter). nil is free.
@@ -25,10 +24,6 @@ type ExecOptions struct {
 	// InstrTrace, when non-nil, receives one line per executed
 	// instruction (rapcc -trace).
 	InstrTrace io.Writer
-	// Memo, when non-nil, lets RAP reuse memoized region summaries
-	// (rap.Options.Memo) — in the daemon, a persistent store view shared
-	// across jobs and restarts.
-	Memo rap.Memo
 }
 
 // Outcome is the in-process result of ExecuteJob — the compiled program
@@ -63,7 +58,6 @@ func ExecuteJob(ctx context.Context, job Job, opts ExecOptions) (*Outcome, error
 	case ModeCompare:
 		ccfg := job.compareConfig()
 		ccfg.Trace = opts.Tracer
-		ccfg.RAP.Memo = opts.Memo
 		ms, err := core.CompareContext(ctx, job.Source, job.ksOrDefault(), ccfg)
 		if err != nil {
 			return nil, err
@@ -76,7 +70,6 @@ func ExecuteJob(ctx context.Context, job Job, opts ExecOptions) (*Outcome, error
 func executeAlloc(ctx context.Context, job Job, opts ExecOptions) (*Outcome, error) {
 	cfg := job.coreConfig()
 	cfg.Trace = opts.Tracer
-	cfg.RAP.Memo = opts.Memo
 	p, err := core.Compile(job.Source, cfg)
 	if err != nil {
 		return nil, err

@@ -54,7 +54,8 @@ type Job struct {
 	Source string `json:"source"`
 	// Mode is ModeAlloc (default) or ModeCompare.
 	Mode string `json:"mode,omitempty"`
-	// Allocator is none, gra, rap or naive (ModeAlloc; default none).
+	// Allocator is one of core.AllocatorNames(): none, gra, rap, naive or
+	// irc (ModeAlloc; default none).
 	Allocator string `json:"allocator,omitempty"`
 	// K is the register set size (ModeAlloc; required unless Allocator
 	// is none/empty).
@@ -81,8 +82,8 @@ type Job struct {
 	// TimeoutMS bounds this job's wall clock. The runner clamps it to
 	// its configured maximum; 0 means the runner's default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// MaxCycles bounds each interpreter run (0 means the runner's
-	// default, falling back to the interpreter's own 500M).
+	// MaxCycles bounds each interpreter run. The runner clamps it to its
+	// configured ceiling; 0 means the ceiling.
 	MaxCycles int64 `json:"max_cycles,omitempty"`
 }
 

@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"repro/internal/fuzz"
+	"repro/internal/interp"
 	"repro/internal/obs"
-	"repro/internal/regalloc/rap"
 	"repro/internal/store"
 )
 
@@ -48,20 +48,20 @@ type RunnerConfig struct {
 	// JobTimeout is the per-job wall-clock ceiling. A job may ask for
 	// less via TimeoutMS but never more (default 30s).
 	JobTimeout time.Duration
-	// MaxCycles is the default interpreter budget for jobs that do not
-	// set their own (0 defers to the interpreter's 500M).
+	// MaxCycles is the interpreter budget ceiling: a job that sets no
+	// budget gets it, and a larger budget is clamped to it (0 means
+	// interp.DefaultMaxCycles).
 	MaxCycles int64
 	// Tracer observes every compilation; its metrics registry (if any)
 	// also receives the serve.* counters. When nil a private registry is
 	// created so /metrics always has content.
 	Tracer *obs.Tracer
-	// Store, when non-nil, persistently backs the runner: completed
-	// results write through to it under "result/" keys (and reload on the
-	// next boot — the warm start), and RAP allocations record region
-	// summaries under "memo/" keys for incremental reuse across jobs and
-	// restarts. It is the runner's only persistent tier: no other worker
-	// reads it and the runner reads no other worker's. The runner does
-	// not own the store; the caller closes it after Drain.
+	// Store, when non-nil, persistently backs the result cache: completed
+	// results write through to it under "result/" keys and reload on the
+	// next boot (the warm start). It is the runner's only persistent
+	// tier: no other worker reads it and the runner reads no other
+	// worker's. The runner does not own the store; the caller closes it
+	// after Drain.
 	Store *store.Store
 	// SlowJobThreshold, when > 0 and SlowJobLog is set, logs every job
 	// whose wall clock meets or exceeds it as one structured JSON line
@@ -84,6 +84,9 @@ func (cfg *RunnerConfig) fill() {
 	}
 	if cfg.JobTimeout <= 0 {
 		cfg.JobTimeout = 30 * time.Second
+	}
+	if cfg.MaxCycles <= 0 {
+		cfg.MaxCycles = interp.DefaultMaxCycles
 	}
 	if cfg.Tracer.Metrics() == nil {
 		cfg.Tracer = cfg.Tracer.WithMetrics(obs.NewMetrics())
@@ -110,10 +113,7 @@ type Runner struct {
 	cfg     RunnerConfig
 	metrics *obs.Metrics
 	cache   *cache
-	// memo is the persistent region-memo view handed to every RAP
-	// allocation (nil without a store).
-	memo  rap.Memo
-	queue chan *Task
+	queue   chan *Task
 	// pending counts accepted-but-unfinished tasks; it enforces the
 	// queue bound atomically across multi-job batches.
 	pending atomic.Int64
@@ -150,7 +150,6 @@ func NewRunner(cfg RunnerConfig) *Runner {
 	r.cache = newCache(cfg.CacheSize, r.metrics)
 	if cfg.Store != nil {
 		r.cache.disk = store.Prefixed(cfg.Store, resultPrefix)
-		r.memo = store.Prefixed(cfg.Store, memoPrefix)
 		r.warmStart(cfg.Store)
 	}
 	r.wg.Add(cfg.Workers)
@@ -160,11 +159,9 @@ func NewRunner(cfg RunnerConfig) *Runner {
 	return r
 }
 
-// Key namespaces within the backing store.
-const (
-	resultPrefix = "result/"
-	memoPrefix   = "memo/"
-)
+// resultPrefix namespaces the result cache's keys within the backing
+// store.
+const resultPrefix = "result/"
 
 // warmStart reloads persisted results into the in-memory cache, oldest
 // access first so the hottest entries end up most recently used. The LRU
@@ -354,7 +351,7 @@ func (r *Runner) execute(ctx context.Context, job Job, autoID bool) Result {
 			timeout = d
 		}
 	}
-	if job.MaxCycles == 0 {
+	if job.MaxCycles == 0 || job.MaxCycles > r.cfg.MaxCycles {
 		job.MaxCycles = r.cfg.MaxCycles
 	}
 	// Each job compiles under a forked tracer (private metrics registry,
@@ -367,7 +364,7 @@ func (r *Runner) execute(ctx context.Context, job Job, autoID bool) Result {
 	var outcome *Outcome
 	err := fuzz.RunIsolated(ctx, timeout, func(cctx context.Context) error {
 		var uerr error
-		outcome, uerr = ExecuteJob(cctx, job, ExecOptions{Tracer: tr, Memo: r.memo})
+		outcome, uerr = ExecuteJob(cctx, job, ExecOptions{Tracer: tr})
 		return uerr
 	})
 	r.cfg.Tracer.Join(tr)

@@ -132,6 +132,34 @@ func TestRunnerTimeout(t *testing.T) {
 	}
 }
 
+// TestRunnerClampsMaxCycles: the runner's MaxCycles is a ceiling, not
+// just a default. A job asking for far more, or for nothing, runs under
+// it, so a loop past the ceiling fails on the cycle budget; a job that
+// fits still runs.
+func TestRunnerClampsMaxCycles(t *testing.T) {
+	r := newTestRunner(t, serve.RunnerConfig{Workers: 1, MaxCycles: 100_000})
+	loop := `int main() {
+	int i; int s;
+	s = 0;
+	for (i = 0; i < 1000000; i = i + 1) { s = s + i; }
+	print(s);
+	return 0;
+}`
+	for _, budget := range []int64{0, 1 << 40} {
+		res, err := r.Do(context.Background(), serve.Job{Source: loop, MaxCycles: budget})
+		if err != nil {
+			t.Fatalf("max_cycles %d: Do: %v", budget, err)
+		}
+		if res.Status != serve.StatusError || !strings.Contains(res.Error, "cycle budget exhausted") {
+			t.Errorf("max_cycles %d: status %q (%s), want the ceiling's cycle budget error", budget, res.Status, res.Error)
+		}
+	}
+	res, err := r.Do(context.Background(), serve.Job{Source: goodSrc, MaxCycles: 1 << 40})
+	if err != nil || res.Status != serve.StatusOK {
+		t.Fatalf("short job: %v %q (%s)", err, res.Status, res.Error)
+	}
+}
+
 func TestRunnerCanceled(t *testing.T) {
 	r := newTestRunner(t, serve.RunnerConfig{Workers: 1})
 	ctx, cancel := context.WithCancel(context.Background())

@@ -33,7 +33,7 @@ func TestRunnerPersistentRestart(t *testing.T) {
 		return s
 	}
 
-	// First life: cold run, results and memo artifacts persist.
+	// First life: cold run, results persist.
 	m1 := obs.NewMetrics()
 	s1 := openStore(m1)
 	r1 := serve.NewRunner(serve.RunnerConfig{Workers: 2, Tracer: obs.New().WithMetrics(m1), Store: s1})
@@ -52,14 +52,9 @@ func TestRunnerPersistentRestart(t *testing.T) {
 	if err := r1.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	memoKeys, resultKeys := 0, 0
+	var keys []string
 	if err := s1.ForEach(func(key string, _ []byte) bool {
-		switch {
-		case strings.HasPrefix(key, "memo/"):
-			memoKeys++
-		case strings.HasPrefix(key, "result/"):
-			resultKeys++
-		}
+		keys = append(keys, key)
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -67,11 +62,13 @@ func TestRunnerPersistentRestart(t *testing.T) {
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if resultKeys != len(jobs) {
-		t.Fatalf("persisted %d results, want %d", resultKeys, len(jobs))
+	if len(keys) != len(jobs) {
+		t.Fatalf("persisted %d records %q, want %d results", len(keys), keys, len(jobs))
 	}
-	if memoKeys == 0 {
-		t.Fatal("no region summaries persisted")
+	for _, key := range keys {
+		if !strings.HasPrefix(key, "result/") {
+			t.Fatalf("persisted %q, want only result/ records", key)
+		}
 	}
 
 	// Second life: the reopened store warm-starts the cache; the same
@@ -104,50 +101,6 @@ func TestRunnerPersistentRestart(t *testing.T) {
 	}
 	if snap["serve.cache.hits"] == 0 {
 		t.Fatal("restart produced no cache hits")
-	}
-}
-
-// TestRunnerMemoPersistsAcrossRestart: with the result cache disabled,
-// a restarted runner still benefits from persisted region summaries —
-// the allocation itself hits the memo.
-func TestRunnerMemoPersistsAcrossRestart(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "artifacts.log")
-	job := serve.Job{ID: "m", Source: goodSrc, Allocator: "rap", K: 5}
-
-	run := func() (serve.Result, *obs.Metrics) {
-		m := obs.NewMetrics()
-		s, err := store.Open(path, store.Options{Metrics: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		r := serve.NewRunner(serve.RunnerConfig{Workers: 1, CacheSize: -1, Tracer: obs.New().WithMetrics(m), Store: s})
-		res, err := r.Do(context.Background(), job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Drain(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return res, m
-	}
-
-	cold, mCold := run()
-	if cold.Status != serve.StatusOK {
-		t.Fatalf("cold: %q (%s)", cold.Status, cold.Error)
-	}
-	if c := mCold.Snapshot().Counters; c["rap.memo.stores"] == 0 {
-		t.Fatalf("cold run recorded no summaries: %v", c)
-	}
-	warm, mWarm := run()
-	if warm.Cached {
-		t.Fatal("cache disabled but result reported cached")
-	}
-	if c := mWarm.Snapshot().Counters; c["rap.memo.hits"] == 0 {
-		t.Fatalf("warm run hit no persisted summaries: %v", c)
-	}
-	if warm.Code != cold.Code {
-		t.Fatal("memoized allocation differs from cold allocation")
 	}
 }
 

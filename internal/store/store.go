@@ -8,10 +8,10 @@
 //     does not parse marks the corrupt tail of a crashed write, and Open
 //     truncates the file back to the last clean record boundary
 //     (recovering every record before it) rather than failing.
-//   - Keys are caller-chosen strings (the callers use canonical content
-//     hashes from internal/canon plus a namespace prefix); values are
-//     opaque bytes. A re-written key appends a new record; replay keeps
-//     the last write.
+//   - Keys are caller-chosen strings (the serve runner uses its jobs'
+//     content hashes under a namespace prefix); values are opaque
+//     bytes. A re-written key appends a new record; replay keeps the
+//     last write.
 //   - The store is size-bounded: when the log grows past MaxBytes, GC
 //     compacts it by access time — least recently used records are
 //     dropped, the survivors are rewritten to a temp file that atomically
@@ -196,7 +196,7 @@ func (s *Store) replay() error {
 	return nil
 }
 
-// Get returns the value stored under key. It satisfies rap.Memo.
+// Get returns the value stored under key.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -219,8 +219,8 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return val, true
 }
 
-// Put appends a record for key. It satisfies rap.Memo. Oversized keys
-// and values are rejected rather than silently corrupting the log.
+// Put appends a record for key. Oversized keys and values are rejected
+// rather than silently corrupting the log.
 func (s *Store) Put(key string, val []byte) error {
 	if len(key) == 0 || len(key) > 1<<16-1 {
 		return fmt.Errorf("store: key length %d out of range", len(key))
@@ -449,9 +449,8 @@ func (s *Store) Close() error {
 }
 
 // Prefixed returns a view of s whose keys are transparently namespaced
-// with prefix — so one log file can hold several artifact families
-// (serve results, region memos) without key collisions. The view
-// satisfies rap.Memo.
+// with prefix, so one log file can hold several artifact families
+// without key collisions.
 func Prefixed(s *Store, prefix string) *PrefixView {
 	return &PrefixView{s: s, prefix: prefix}
 }

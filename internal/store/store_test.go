@@ -268,16 +268,16 @@ func TestForEachOrderAndPrefixView(t *testing.T) {
 	m := obs.NewMetrics()
 	s := open(t, path, store.Options{Metrics: m})
 	defer s.Close()
-	memo := store.Prefixed(s, "memo/")
+	other := store.Prefixed(s, "other/")
 	result := store.Prefixed(s, "result/")
-	if err := memo.Put("h1", []byte("m1")); err != nil {
+	if err := other.Put("h1", []byte("o1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := result.Put("h1", []byte("r1")); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := memo.Get("h1"); !ok || string(got) != "m1" {
-		t.Fatalf("memo Get = %q, %v", got, ok)
+	if got, ok := other.Get("h1"); !ok || string(got) != "o1" {
+		t.Fatalf("other Get = %q, %v", got, ok)
 	}
 	if got, ok := result.Get("h1"); !ok || string(got) != "r1" {
 		t.Fatalf("result Get = %q, %v", got, ok)
@@ -289,7 +289,7 @@ func TestForEachOrderAndPrefixView(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 2 || keys[0] != "memo/h1" || keys[1] != "result/h1" {
+	if len(keys) != 2 || keys[0] != "other/h1" || keys[1] != "result/h1" {
 		t.Fatalf("ForEach keys = %v", keys)
 	}
 	snap := m.Snapshot().Counters

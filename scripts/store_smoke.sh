@@ -52,7 +52,7 @@ echo "$FIRST" | grep -q '"status": "ok"' || { echo "FAIL: first batch failed"; e
 if echo "$FIRST" | grep -q '"cached": true'; then
     echo "FAIL: cold batch reported a cache hit"; echo "$FIRST"; exit 1
 fi
-# The cold life's writes (results + region summaries) show under store.*.
+# The cold life's result writes show under store.*.
 METRICS=$(curl -sf "http://$ADDR/metrics")
 echo "$METRICS" | grep -Eq '"store\.write": [1-9]' || {
     echo "FAIL: no store writes in cold life's /metrics"; echo "$METRICS"; exit 1; }
