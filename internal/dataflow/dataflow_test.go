@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
@@ -22,6 +23,16 @@ func analyze(t *testing.T, body string) (*cfg.Graph, *dataflow.Liveness, *datafl
 	return g, dataflow.ComputeLiveness(g), dataflow.ComputeDefUse(g)
 }
 
+// liveIn and liveOut derive the registers live into and out of
+// instruction i.
+func liveIn(lv *dataflow.Liveness, i int) *bitset.Set {
+	return lv.LiveIn(bitset.New(lv.NumRegs), i)
+}
+
+func liveOut(lv *dataflow.Liveness, i int) *bitset.Set {
+	return dataflow.NewCursor(lv).LiveOut(i)
+}
+
 func TestLivenessStraightLine(t *testing.T) {
 	_, lv, _ := analyze(t, `
 	loadI 1 => r1
@@ -30,20 +41,20 @@ func TestLivenessStraightLine(t *testing.T) {
 	print r3
 	ret`)
 	// r1 live after its def until the add.
-	if !lv.LiveOut[0].Has(1) || !lv.LiveIn[2].Has(1) {
+	if !liveOut(lv, 0).Has(1) || !liveIn(lv, 2).Has(1) {
 		t.Error("r1 liveness wrong")
 	}
 	// r1 dead after the add.
-	if lv.LiveOut[2].Has(1) {
+	if liveOut(lv, 2).Has(1) {
 		t.Error("r1 should die at the add")
 	}
 	// r3 live between add and print only.
-	if !lv.LiveOut[2].Has(3) || lv.LiveOut[3].Has(3) {
+	if !liveOut(lv, 2).Has(3) || liveOut(lv, 3).Has(3) {
 		t.Error("r3 liveness wrong")
 	}
 	// Nothing live at function start.
-	if !lv.LiveIn[0].Empty() {
-		t.Errorf("function entry should have no live-ins: %v", lv.LiveIn[0].Elems())
+	if !liveIn(lv, 0).Empty() {
+		t.Errorf("function entry should have no live-ins: %v", liveIn(lv, 0).Elems())
 	}
 }
 
@@ -63,15 +74,15 @@ LEnd:
 	ret`)
 	// r9 (the bound) is live around the back edge: live at the jump.
 	jumpIdx := 8
-	if !lv.LiveIn[jumpIdx].Has(9) {
+	if !liveIn(lv, jumpIdx).Has(9) {
 		t.Errorf("loop-invariant bound should be live at the back edge")
 	}
 	// r1 live everywhere in the loop.
-	if !lv.LiveIn[jumpIdx].Has(1) {
+	if !liveIn(lv, jumpIdx).Has(1) {
 		t.Error("r1 should be live at the back edge")
 	}
 	// r2 (the comparison) is dead in the body.
-	if lv.LiveOut[jumpIdx].Has(2) {
+	if liveOut(lv, jumpIdx).Has(2) {
 		t.Error("r2 should not be live out of the body")
 	}
 }
@@ -91,12 +102,12 @@ LEnd:
 	ret`)
 	// r2 is live into the branch (used on the A path) but not on B after
 	// its own start.
-	if !lv.LiveIn[2].Has(2) {
+	if !liveIn(lv, 2).Has(2) {
 		t.Error("r2 should be live at the cbr")
 	}
 	// On the B path, r2 dies.
 	lbIdx := 6 // label LB
-	if lv.LiveIn[lbIdx].Has(2) {
+	if liveIn(lv, lbIdx).Has(2) {
 		t.Error("r2 should be dead on the else path")
 	}
 }
@@ -197,7 +208,7 @@ func TestUseAndDefSameInstr(t *testing.T) {
 	if got := du.ReachedUses([]int{1}, 1, nil); len(got) != 1 || got[0] != 2 {
 		t.Errorf("def@1 reached %v, want [2] (the print)", got)
 	}
-	if !lv.LiveIn[1].Has(1) || !lv.LiveOut[1].Has(1) {
+	if !liveIn(lv, 1).Has(1) || !liveOut(lv, 1).Has(1) {
 		t.Error("r1 should be live into and out of the add")
 	}
 }

@@ -41,12 +41,12 @@ func TestLivenessIsFixpoint(t *testing.T) {
 			for i, in := range fn.Instrs {
 				tmp.Clear()
 				for _, s := range g.InstrSuccs[i] {
-					tmp.UnionWith(lv.LiveIn[s])
+					tmp.UnionWith(liveIn(lv, s))
 				}
-				if !tmp.Equal(lv.LiveOut[i]) {
+				if !tmp.Equal(liveOut(lv, i)) {
 					return false
 				}
-				tmp.Copy(lv.LiveOut[i])
+				tmp.Copy(liveOut(lv, i))
 				if d := in.Def(); d != ir.None {
 					tmp.Remove(int(d))
 				}
@@ -54,7 +54,7 @@ func TestLivenessIsFixpoint(t *testing.T) {
 				for _, u := range buf {
 					tmp.Add(int(u))
 				}
-				if !tmp.Equal(lv.LiveIn[i]) {
+				if !tmp.Equal(liveIn(lv, i)) {
 					return false
 				}
 			}
@@ -79,7 +79,7 @@ func TestNothingLiveAtEntry(t *testing.T) {
 				return false
 			}
 			lv := dataflow.ComputeLiveness(g)
-			if !lv.LiveIn[0].Empty() {
+			if !lv.BlockIn(0).Empty() {
 				return false
 			}
 		}

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/cfg"
-	"repro/internal/dataflow"
 	"repro/internal/ig"
 	"repro/internal/ir"
 	"repro/internal/lower"
@@ -38,7 +37,7 @@ func extractOps(f *ir.Function) (*graphOps, error) {
 	if err != nil {
 		return nil, err
 	}
-	lv := dataflow.ComputeLiveness(g)
+	lv := testutil.ReferenceLiveness(g)
 	ops := &graphOps{
 		regs:   f.VRegs(),
 		refs:   map[ir.Reg]int{},

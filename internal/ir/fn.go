@@ -3,7 +3,6 @@ package ir
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 )
 
@@ -261,25 +260,37 @@ func (f *Function) LabelIndex() map[string]int {
 	return m
 }
 
-// VRegs returns the sorted list of registers referenced anywhere in the
-// function body.
+// VRegs returns the registers referenced anywhere in the function body,
+// ascending. It marks them in a dense table that covers every register
+// below NextReg and grows for any higher one the body mentions.
 func (f *Function) VRegs() []Reg {
-	seen := map[Reg]bool{}
+	seen := make([]bool, f.NextReg)
+	n := 0
+	mark := func(r Reg) {
+		for int(r) >= len(seen) {
+			seen = append(seen, false)
+		}
+		if !seen[r] {
+			seen[r] = true
+			n++
+		}
+	}
 	var buf []Reg
 	for _, in := range f.Instrs {
 		buf = in.Uses(buf[:0])
 		for _, r := range buf {
-			seen[r] = true
+			mark(r)
 		}
 		if d := in.Def(); d != None {
-			seen[d] = true
+			mark(d)
 		}
 	}
-	out := make([]Reg, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
+	out := make([]Reg, 0, n)
+	for r, ok := range seen {
+		if ok {
+			out = append(out, Reg(r))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -205,15 +205,3 @@ func (l *Lexer) Next() token.Token {
 	l.errorf(pos, "illegal character %q", c)
 	return token.Token{Kind: token.ILLEGAL, Text: string(c), Pos: pos}
 }
-
-// All scans the entire input and returns every token up to and including EOF.
-func (l *Lexer) All() []token.Token {
-	var toks []token.Token
-	for {
-		t := l.Next()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			return toks
-		}
-	}
-}

@@ -22,41 +22,49 @@ const MaxDepth = 1000
 
 // Parser parses a MiniC translation unit.
 type Parser struct {
-	toks []token.Token
-	pos  int
-	errs []error
+	// lx supplies the tokens as the parser asks for them; tok is the
+	// current token and ahead the one after it.
+	lx         *lexer.Lexer
+	tok, ahead token.Token
+	errs       []error
 	// depth is the nesting level of the construct being parsed.
 	depth int
 }
 
 // Parse parses src and returns the program. It returns an error describing
-// the first problem if the source is malformed.
+// the first problem if the source is malformed: the first lexical error
+// anywhere in src, or else the first parse error.
 func Parse(src string) (*ast.Program, error) {
 	lx := lexer.New(src)
-	toks := lx.All()
+	p := &Parser{lx: lx}
+	p.tok, p.ahead = lx.Next(), lx.Next()
+	prog := p.parseProgram()
+	// The parser stops at its first error, so the rest of the source is
+	// scanned here for a lexical error, which takes precedence.
+	for p.ahead.Kind != token.EOF {
+		p.ahead = lx.Next()
+	}
 	if errs := lx.Errors(); len(errs) > 0 {
 		return nil, errs[0]
 	}
-	p := &Parser{toks: toks}
-	prog := p.parseProgram()
 	if len(p.errs) > 0 {
 		return nil, p.errs[0]
 	}
 	return prog, nil
 }
 
-func (p *Parser) cur() token.Token { return p.toks[p.pos] }
-func (p *Parser) peek() token.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
-	}
-	return p.toks[len(p.toks)-1]
-}
+func (p *Parser) cur() token.Token  { return p.tok }
+func (p *Parser) peek() token.Token { return p.ahead }
 
+// next consumes the current token and returns it. At the end of input
+// the current token stays EOF.
 func (p *Parser) next() token.Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok
+	if t.Kind != token.EOF {
+		p.tok = p.ahead
+		if p.ahead.Kind != token.EOF {
+			p.ahead = p.lx.Next()
+		}
 	}
 	return t
 }

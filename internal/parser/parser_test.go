@@ -1,6 +1,7 @@
 package parser_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -173,29 +174,31 @@ int main() {
 	}
 }
 
+// nestingShapes builds a program that nests n levels deep through one
+// construct: parentheses, each operator of a left-associative chain,
+// unary operators, indexing, call arguments or statements.
+var nestingShapes = map[string]func(n int) string{
+	"parentheses": func(n int) string {
+		return "int x = " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + ";"
+	},
+	"chain": func(n int) string { return "int x = 0" + strings.Repeat("+1", n) + ";" },
+	"unary": func(n int) string { return "int x = " + strings.Repeat("-", n) + "1;" },
+	"index": func(n int) string {
+		return "int x = " + strings.Repeat("a[", n) + "0" + strings.Repeat("]", n) + ";"
+	},
+	"call": func(n int) string {
+		return "int x = " + strings.Repeat("f(1, ", n) + "0" + strings.Repeat(")", n) + ";"
+	},
+	"statements": func(n int) string {
+		return "void f() {" + strings.Repeat("{", n) + strings.Repeat("}", n) + "}"
+	},
+}
+
 // TestNestingDepthBound: a program may nest MaxDepth levels and no more,
-// whichever construct nests: parentheses, unary operators, each operator
-// of a left-associative chain, indexing, call arguments or statements.
-// An input a hundred times deeper fails the same way, without the parser
-// recursing past the bound.
+// whichever construct nests. An input a hundred times deeper fails the
+// same way, without the parser recursing past the bound.
 func TestNestingDepthBound(t *testing.T) {
-	shapes := map[string]func(n int) string{
-		"parentheses": func(n int) string {
-			return "int x = " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + ";"
-		},
-		"chain": func(n int) string { return "int x = 0" + strings.Repeat("+1", n) + ";" },
-		"unary": func(n int) string { return "int x = " + strings.Repeat("-", n) + "1;" },
-		"index": func(n int) string {
-			return "int x = " + strings.Repeat("a[", n) + "0" + strings.Repeat("]", n) + ";"
-		},
-		"call": func(n int) string {
-			return "int x = " + strings.Repeat("f(1, ", n) + "0" + strings.Repeat(")", n) + ";"
-		},
-		"statements": func(n int) string {
-			return "void f() {" + strings.Repeat("{", n) + strings.Repeat("}", n) + "}"
-		},
-	}
-	for name, shape := range shapes {
+	for name, shape := range nestingShapes {
 		if _, err := parser.Parse(shape(parser.MaxDepth)); err != nil {
 			t.Errorf("%s: %d levels: %v", name, parser.MaxDepth, err)
 		}
@@ -204,6 +207,40 @@ func TestNestingDepthBound(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "nests deeper than") {
 				t.Errorf("%s: %d levels: err = %v, want the nesting bound", name, n, err)
 			}
+		}
+	}
+}
+
+// TestDeepInputAllocatesLittle: the parser pulls tokens from the lexer
+// as it goes, so rejecting 1.5M nested parentheses (3 MB of source,
+// which as a token slice would take about 60 MB) allocates little.
+func TestDeepInputAllocatesLittle(t *testing.T) {
+	const n = 1_500_000
+	src := "int main() { return " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "; }"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := parser.Parse(src)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "nests deeper than") {
+		t.Fatalf("err = %v, want the nesting bound", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+		t.Errorf("parsing allocated %d bytes, want under 16 MB", grew)
+	}
+}
+
+// TestLexicalErrorWins: a lexical error anywhere in the source is the
+// error Parse returns, even after the parser stopped at an earlier
+// parse error.
+func TestLexicalErrorWins(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"int main() { return 0 }\nint g; $", "2:8: illegal character '$'"},
+		{"int main() { return " + strings.Repeat("(", 2000) + "1 & 2", "1:2023: illegal character '&'"},
+		{"int main() { return 0; } /* open", "1:26: unterminated block comment"},
+	} {
+		_, err := parser.Parse(tc.src)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Parse(%.40q) = %v, want %s", tc.src, err, tc.want)
 		}
 	}
 }

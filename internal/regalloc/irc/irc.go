@@ -268,25 +268,43 @@ func build(f *ir.Function, k int, sp *regalloc.Spiller, pinned map[ir.Reg]int, g
 	}
 	// Caller-save clobbers: everything live across a call interferes with
 	// the caller-save half of the machine file (the call's own result
-	// temp excepted — it IS RetReg).
+	// temp excepted — it IS RetReg). Each block with a call is walked
+	// backward from its live-out set. The order calls are met in does not
+	// matter: a register gains the caller-save nodes it lacks, in
+	// ascending order, at the first call it is live across, and later
+	// calls add nothing to its adjacency list.
 	nCallerSave := ir.CallerSaveCount(k)
-	for i, in := range f.Instrs {
-		if in.Op != ir.OpCall {
+	live := bitset.New(lv.NumRegs)
+	for b, blk := range g.Blocks {
+		first := blk.End
+		for i := blk.Start; i < blk.End; i++ {
+			if f.Instrs[i].Op == ir.OpCall {
+				first = i
+				break
+			}
+		}
+		if first == blk.End {
 			continue
 		}
-		lv.LiveOut[i].ForEach(func(ri int) {
-			r := ir.Reg(ri)
-			if r == in.Dst {
-				return
+		live.Copy(lv.BlockOut(b))
+		for i := blk.End - 1; i >= first; i-- {
+			if in := f.Instrs[i]; in.Op == ir.OpCall {
+				live.ForEach(func(ri int) {
+					r := ir.Reg(ri)
+					if r == in.Dst {
+						return
+					}
+					v, ok := a.idOf[r]
+					if !ok || v < a.k {
+						return
+					}
+					for c := 0; c < nCallerSave; c++ {
+						addInit(c, v)
+					}
+				})
 			}
-			v, ok := a.idOf[r]
-			if !ok || v < a.k {
-				return
-			}
-			for c := 0; c < nCallerSave; c++ {
-				addInit(c, v)
-			}
-		})
+			lv.Step(live, i)
+		}
 	}
 	if conflict != nil {
 		return nil, conflict

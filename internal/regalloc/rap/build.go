@@ -1,6 +1,7 @@
 package rap
 
 import (
+	"repro/internal/bitset"
 	"repro/internal/ig"
 	"repro/internal/ir"
 	"repro/internal/regalloc"
@@ -34,28 +35,26 @@ func (a *allocator) buildRegionGraph(V *ir.Region) *ig.Graph {
 	// Standard interferences at definition points in V's own code,
 	// restricted to own-referenced registers. A copy's destination does
 	// not interfere with its source (the rule that enables copy
-	// elimination under first-fit colouring).
-	for _, i := range own {
-		in := a.f.Instrs[i]
-		d := in.Def()
-		if d == ir.None || !ownRefs.Has(int(d)) {
-			continue
-		}
-		copySrc := ir.None
-		if in.IsCopy() {
-			copySrc = in.Src1
-		}
-		a.lv.LiveOut[i].ForEach(func(ri int) {
-			r := ir.Reg(ri)
-			if r == d || r == copySrc || !ownRefs.Has(ri) {
-				return
+	// elimination under first-fit colouring). The blocks of V's span are
+	// walked backward from their live-out sets with one running set.
+	live := a.scratch.getSet()
+	defer a.scratch.putSet(live)
+	if !span.Empty() {
+		for b := a.g.BlockOf[span.End-1]; b >= a.g.BlockOf[span.Start]; b-- {
+			blk := a.g.Blocks[b]
+			live.Copy(a.lv.BlockOut(b))
+			for i := blk.End - 1; i >= max(blk.Start, span.Start); i-- {
+				if i < span.End && a.f.Instrs[i].Region == V.ID {
+					addDefEdges(gv, a.f.Instrs[i], live, ownRefs)
+				}
+				a.lv.Step(live, i)
 			}
-			gv.AddEdge(d, r)
-		})
+		}
 	}
-	// RAP's extra rule: any two registers live on entrance to the region
-	// and referenced in the region's own code interfere (§3.1.1).
-	liveIn := a.liveAtEntry(V)
+	// The walk ended at V's first instruction, so live holds the
+	// registers live on entrance to V. RAP's extra rule: any two of them
+	// referenced in the region's own code interfere (§3.1.1).
+	liveIn := live
 	var liveInOwn []ir.Reg
 	ownRefs.ForEach(func(ri int) {
 		if liveIn.Has(ri) {
@@ -148,6 +147,7 @@ func (a *allocator) buildRegionGraph(V *ir.Region) *ig.Graph {
 				gv.AddNodeEdge(nk, resolve(n))
 			}
 		})
+		a.scratch.putSet(liveInSub)
 	}
 
 	// Mark nodes containing a register global to V (referenced outside
@@ -168,4 +168,25 @@ func (a *allocator) buildRegionGraph(V *ir.Region) *ig.Graph {
 		a.stats.Coalesced += regalloc.CoalesceConservative(a.f.Instrs[span.Start:span.End], gv, a.k, true, nil)
 	}
 	return gv
+}
+
+// addDefEdges adds the interferences at in's definition, given live, the
+// registers live out of it: the defined register interferes with every
+// other live register of ownRefs except a copy's source.
+func addDefEdges(gv *ig.Graph, in *ir.Instr, live, ownRefs *bitset.Set) {
+	d := in.Def()
+	if d == ir.None || !ownRefs.Has(int(d)) {
+		return
+	}
+	copySrc := ir.None
+	if in.IsCopy() {
+		copySrc = in.Src1
+	}
+	live.ForEach(func(ri int) {
+		r := ir.Reg(ri)
+		if r == d || r == copySrc || !ownRefs.Has(ri) {
+			return
+		}
+		gv.AddEdge(d, r)
+	})
 }

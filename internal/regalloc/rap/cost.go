@@ -99,6 +99,7 @@ func (a *allocator) calcSpillCosts(V *ir.Region, gv *ig.Graph) {
 				n.SpillCost++
 			}
 		}
+		a.scratch.putSet(liveIn)
 		a.scratch.putSet(liveOut)
 		a.scratch.putSet(used)
 		a.scratch.putSet(defined)

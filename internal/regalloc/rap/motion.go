@@ -128,11 +128,13 @@ func (a *allocator) hoistLoopSpills(L *ir.Region, entry *ig.Graph) error {
 		// piece of the variable is live into the loop in a register, the
 		// pre-loop load could clobber a value that was never stored.
 		liveInClash := false
-		a.lv.LiveIn[span.Start].ForEach(func(ri int) {
+		liveIn := a.lv.LiveIn(a.scratch.getSet(), span.Start)
+		liveIn.ForEach(func(ri int) {
 			if a.sp.Origin(ir.Reg(ri)) == origin {
 				liveInClash = true
 			}
 		})
+		a.scratch.putSet(liveIn)
 		if liveInClash {
 			continue
 		}

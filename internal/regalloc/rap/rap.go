@@ -385,19 +385,16 @@ func (a *allocator) localTo(r ir.Reg, span ir.Span) bool {
 	return (len(a.du.Uses(r)) > 0 || len(a.du.Defs(r)) > 0) && !a.globalTo(r, span)
 }
 
-// emptyRegSet is the shared read-only set empty regions borrow.
-var emptyRegSet bitset.Set
-
 // liveAtEntry returns the registers live on entrance to region V. MiniC
 // regions are single-entry intervals, so this is the live-in set of the
-// first instruction — borrowed straight from the liveness analysis.
-// Callers must treat the set as read-only.
+// first instruction. The set comes from the allocator's scratch pool;
+// the caller returns it with putSet when done.
 func (a *allocator) liveAtEntry(V *ir.Region) *bitset.Set {
-	span := a.spans[V.ID]
-	if span.Empty() {
-		return &emptyRegSet
+	out := a.scratch.getSet()
+	if span := a.spans[V.ID]; !span.Empty() {
+		a.lv.LiveIn(out, span.Start)
 	}
-	return a.lv.LiveIn[span.Start]
+	return out
 }
 
 // liveAtExit returns the registers live on some edge leaving region V.
@@ -406,13 +403,15 @@ func (a *allocator) liveAtEntry(V *ir.Region) *bitset.Set {
 func (a *allocator) liveAtExit(V *ir.Region) *bitset.Set {
 	span := a.spans[V.ID]
 	out := a.scratch.getSet()
+	tmp := a.scratch.getSet()
 	for i := span.Start; i < span.End; i++ {
 		for _, s := range a.g.InstrSuccs[i] {
 			if !span.Contains(s) {
-				out.UnionWith(a.lv.LiveIn[s])
+				out.UnionWith(a.lv.LiveIn(tmp, s))
 			}
 		}
 	}
+	a.scratch.putSet(tmp)
 	return out
 }
 

@@ -17,9 +17,12 @@ import (
 )
 
 // checkAnalysis compares the analysis a reanalysis recomputed in place
-// with a fresh one of the same function. Walking every definition's
-// reached uses is quadratic in the function's size, so each call walks
-// those of one register residue class mod 16, rotating with call.
+// with a fresh one of the same function, and its liveness with the
+// per-instruction reference. Walking every definition's reached uses, or
+// asking every register's liveness at every instruction, is quadratic in
+// the function's size, so each call asks about one register residue
+// class mod 16, and at one instruction residue class mod 32 (128 under
+// -short), rotating with call.
 func checkAnalysis(st rap.Analysis, call int) error {
 	g, err := cfg.Build(st.F)
 	if err != nil {
@@ -28,10 +31,15 @@ func checkAnalysis(st rap.Analysis, call int) error {
 	if err := testutil.SameCFG(st.G, g); err != nil {
 		return fmt.Errorf("cfg: %w", err)
 	}
-	if err := testutil.SameLiveness(st.LV, dataflow.ComputeLiveness(g)); err != nil {
+	stride := 32
+	if testing.Short() {
+		stride = 128
+	}
+	at := func(i int) bool { return i%stride == call%stride }
+	reach := func(r ir.Reg) bool { return int(r)%16 == call%16 }
+	if err := testutil.SameLiveness(st.G, st.LV, testutil.ReferenceLiveness(g), at, reach); err != nil {
 		return fmt.Errorf("liveness: %w", err)
 	}
-	reach := func(r ir.Reg) bool { return int(r)%16 == call%16 }
 	if err := testutil.SameDefUse(st.DU, dataflow.ComputeDefUse(g), reach); err != nil {
 		return fmt.Errorf("def-use: %w", err)
 	}

@@ -3,8 +3,9 @@ package rap
 import "repro/internal/bitset"
 
 // regScratch is the allocator's reusable dense scratch for the
-// per-region helper sets (liveAtExit, usedIn, definedIn, the own-refs,
-// vars and subregion-member sets of the graph build). These used to be
+// per-region helper sets (liveAtEntry, liveAtExit, usedIn, definedIn,
+// and the own-refs, running live, vars and subregion-member sets of the
+// graph build). These used to be
 // map[ir.Reg]bool allocated fresh for every region of every
 // build/colour/spill iteration — the hottest allocation sites in the
 // walk. Registers are dense small integers, so a bitset (whose ForEach

@@ -149,7 +149,7 @@ func (a *allocator) spillReg(V *ir.Region, span ir.Span, v ir.Reg, edit *regallo
 		// value around the back edge — the paper's "load before the first
 		// use in the subregion".
 		pos, reexecutes := a.subregionEntryPos(sspan)
-		if len(subUses) > 0 && a.liveAtEntry(s).Has(int(v)) {
+		if len(subUses) > 0 && a.lv.IsLiveIn(sspan.Start, v) {
 			a.loadBefore(edit, pos, vR, slot)
 		}
 		// Store after each definition whose value is needed outside the
@@ -230,7 +230,7 @@ func (a *allocator) defEscapes(d int, v ir.Reg, span ir.Span) bool {
 		}
 		a.visited[j] = a.visitGen
 		if !span.Contains(j) {
-			if a.lv.LiveIn[j].Has(int(v)) {
+			if a.lv.IsLiveIn(j, v) {
 				escapes = true
 				break
 			}

@@ -6,6 +6,7 @@ package regalloc
 import (
 	"fmt"
 
+	"repro/internal/bitset"
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/ig"
@@ -17,29 +18,33 @@ import (
 // everything live out of the instruction, except that a copy's destination
 // does not interfere with its source (Chaitin's rule; with first-fit
 // colouring this is what lets copies collapse onto one register, the
-// effect §4 of the paper highlights).
+// effect §4 of the paper highlights). Each block is walked backward from
+// its live-out set with one running set; the graph's nodes are made
+// first and its rows are bitsets, so the order edges arrive in does not
+// matter.
 func BuildInterference(f *ir.Function, g *cfg.Graph, lv *dataflow.Liveness) *ig.Graph {
 	graph := ig.New()
 	// Every referenced register gets a node even if it never interferes.
 	for _, r := range f.VRegs() {
 		graph.Ensure(r)
 	}
-	for i, in := range f.Instrs {
-		d := in.Def()
-		if d == ir.None {
-			continue
-		}
-		var copySrc ir.Reg = ir.None
-		if in.IsCopy() {
-			copySrc = in.Src1
-		}
-		lv.LiveOut[i].ForEach(func(ri int) {
-			r := ir.Reg(ri)
-			if r == d || r == copySrc {
-				return
+	live := bitset.New(lv.NumRegs)
+	for b, blk := range g.Blocks {
+		live.Copy(lv.BlockOut(b))
+		for i := blk.End - 1; i >= blk.Start; i-- {
+			if d := lv.Def(i); d != ir.None {
+				copySrc := ir.None
+				if in := f.Instrs[i]; in.IsCopy() {
+					copySrc = in.Src1
+				}
+				live.ForEach(func(ri int) {
+					if r := ir.Reg(ri); r != d && r != copySrc {
+						graph.AddEdge(d, r)
+					}
+				})
 			}
-			graph.AddEdge(d, r)
-		})
+			lv.Step(live, i)
+		}
 	}
 	return graph
 }

@@ -75,19 +75,151 @@ func SameCFG(got, want *cfg.Graph) error {
 	return nil
 }
 
-// SameLiveness returns an error naming the first set where got differs
-// from want in contents or capacity.
-func SameLiveness(got, want *dataflow.Liveness) error {
-	if got.NumRegs != want.NumRegs || len(got.LiveIn) != len(want.LiveIn) || len(got.LiveOut) != len(want.LiveOut) {
-		return fmt.Errorf("%d regs, %d/%d sets; want %d regs, %d/%d sets", got.NumRegs,
-			len(got.LiveIn), len(got.LiveOut), want.NumRegs, len(want.LiveIn), len(want.LiveOut))
+// Liveness is the reference liveness analysis: the registers live into
+// and out of every instruction, each in a set of its own. It is the
+// computation dataflow.Liveness replaced, which stores sets per block
+// only, and the tests compare the two.
+type Liveness struct {
+	// LiveIn[i] and LiveOut[i] are the registers live immediately before
+	// and after instruction i executes.
+	LiveIn, LiveOut []*bitset.Set
+	// NumRegs is the register index capacity of the sets.
+	NumRegs int
+}
+
+// ReferenceLiveness computes the per-instruction liveness of g's
+// function: a block-level backward dataflow fixpoint over UEVar/Kill
+// summaries, then one backward sweep inside each block that stores
+// every instruction's sets.
+func ReferenceLiveness(g *cfg.Graph) *Liveness {
+	f := g.F
+	n := len(f.Instrs)
+	numRegs := int(f.NextReg)
+	sets := bitset.NewBatch(2*n, numRegs)
+	lv := &Liveness{LiveIn: sets[:n], LiveOut: sets[n:], NumRegs: numRegs}
+	uses := make([][]ir.Reg, n)
+	defs := make([]ir.Reg, n)
+	for i, in := range f.Instrs {
+		uses[i] = in.Uses(nil)
+		defs[i] = in.Def()
 	}
-	for i := range want.LiveIn {
-		if err := sameSet("LiveIn", i, got.LiveIn[i], want.LiveIn[i]); err != nil {
+	nb := len(g.Blocks)
+	bsets := bitset.NewBatch(4*nb+1, numRegs)
+	ueVar, kill := bsets[:nb], bsets[nb:2*nb]
+	blockIn, blockOut := bsets[2*nb:3*nb], bsets[3*nb:4*nb]
+	tmp := bsets[4*nb]
+	for b, blk := range g.Blocks {
+		for i := blk.Start; i < blk.End; i++ {
+			for _, u := range uses[i] {
+				if !kill[b].Has(int(u)) {
+					ueVar[b].Add(int(u))
+				}
+			}
+			if d := defs[i]; d != ir.None {
+				kill[b].Add(int(d))
+			}
+		}
+	}
+	rpo := g.ReversePostorder()
+	for changed := true; changed; {
+		changed = false
+		for idx := len(rpo) - 1; idx >= 0; idx-- {
+			b := rpo[idx]
+			tmp.Clear()
+			for _, s := range g.Blocks[b].Succs {
+				tmp.UnionWith(blockIn[s])
+			}
+			if !tmp.Equal(blockOut[b]) {
+				blockOut[b].Copy(tmp)
+				changed = true
+			}
+			tmp.DiffWith(kill[b])
+			tmp.UnionWith(ueVar[b])
+			if !tmp.Equal(blockIn[b]) {
+				blockIn[b].Copy(tmp)
+				changed = true
+			}
+		}
+	}
+	for b, blk := range g.Blocks {
+		tmp.Copy(blockOut[b])
+		for i := blk.End - 1; i >= blk.Start; i-- {
+			lv.LiveOut[i].Copy(tmp)
+			if d := defs[i]; d != ir.None {
+				tmp.Remove(int(d))
+			}
+			for _, u := range uses[i] {
+				tmp.Add(int(u))
+			}
+			lv.LiveIn[i].Copy(tmp)
+		}
+	}
+	return lv
+}
+
+// SameLiveness returns an error naming the first point where got differs
+// from the reference want for g's function: its register count, an
+// instruction's definition, a block's live-in or live-out set (contents
+// or capacity), a set a backward walk with Step holds, a set an
+// ascending Cursor reads, or, at the instructions at selects, the set
+// LiveIn derives, a set a Cursor reads after reloading its block, or
+// the IsLiveIn answer for each register regs selects. A nil selector
+// selects everything.
+func SameLiveness(g *cfg.Graph, got *dataflow.Liveness, want *Liveness, at func(i int) bool, regs func(ir.Reg) bool) error {
+	if got.NumRegs != want.NumRegs {
+		return fmt.Errorf("NumRegs = %d, want %d", got.NumRegs, want.NumRegs)
+	}
+	for i, in := range g.F.Instrs {
+		if d := in.Def(); got.Def(i) != d {
+			return fmt.Errorf("Def(%d) = %s, want %s", i, got.Def(i), d)
+		}
+	}
+	live := bitset.New(want.NumRegs)
+	for b, blk := range g.Blocks {
+		if err := sameSet("BlockIn", b, got.BlockIn(b), want.LiveIn[blk.Start]); err != nil {
 			return err
 		}
-		if err := sameSet("LiveOut", i, got.LiveOut[i], want.LiveOut[i]); err != nil {
+		if err := sameSet("BlockOut", b, got.BlockOut(b), want.LiveOut[blk.End-1]); err != nil {
 			return err
+		}
+		live.Copy(got.BlockOut(b))
+		for i := blk.End - 1; i >= blk.Start; i-- {
+			if err := sameSet("walk live-out", i, live, want.LiveOut[i]); err != nil {
+				return err
+			}
+			got.Step(live, i)
+			if err := sameSet("walk live-in", i, live, want.LiveIn[i]); err != nil {
+				return err
+			}
+		}
+	}
+	ascending, reloading := dataflow.NewCursor(got), dataflow.NewCursor(got)
+	for i := range want.LiveIn {
+		if err := sameSet("Cursor.LiveIn", i, ascending.LiveIn(i), want.LiveIn[i]); err != nil {
+			return err
+		}
+		if err := sameSet("Cursor.LiveOut", i, ascending.LiveOut(i), want.LiveOut[i]); err != nil {
+			return err
+		}
+		if at != nil && !at(i) {
+			continue
+		}
+		if err := sameSet("LiveIn", i, got.LiveIn(live, i), want.LiveIn[i]); err != nil {
+			return err
+		}
+		if err := sameSet("reloaded Cursor.LiveOut", i, reloading.LiveOut(i), want.LiveOut[i]); err != nil {
+			return err
+		}
+		if err := sameSet("reloaded Cursor.LiveIn", i, reloading.LiveIn(i), want.LiveIn[i]); err != nil {
+			return err
+		}
+		for r := ir.Reg(0); int(r) < want.NumRegs; r++ {
+			if regs != nil && !regs(r) {
+				continue
+			}
+			if g, w := got.IsLiveIn(i, r), want.LiveIn[i].Has(int(r)); g != w {
+				return fmt.Errorf("IsLiveIn(%d, %s) = %v, want %v", i, r, g, w)
+			}
 		}
 	}
 	return nil

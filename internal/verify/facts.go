@@ -97,9 +97,13 @@ func (st *factState) applyCopyEvent(ev copyEvent) {
 
 // factFlow carries the dataflow context for one function pair.
 type factFlow struct {
-	v   *fnVerifier
-	al  *alignment
-	olv *dataflow.Liveness // liveness of the ORIGINAL function
+	v  *fnVerifier
+	al *alignment
+	// olive reads the liveness of the ORIGINAL function; the checking
+	// replay asks for ascending original points, so it walks each block
+	// of the original once.
+	olive *dataflow.Cursor
+	nOrig int
 	// scratch is a reusable set over original registers.
 	scratch    *bitset.Set
 	obuf, abuf []ir.Reg
@@ -114,10 +118,10 @@ func (d *factFlow) locOfSlot(s int64) int { return d.v.k + int(s) }
 // the point is past the last anchor (unreachable layout tail).
 func (d *factFlow) liveAt(i int) *bitset.Set {
 	if oi := d.al.origAnchorOf[i]; oi >= 0 {
-		return d.olv.LiveOut[oi]
+		return d.olive.LiveOut(oi)
 	}
-	if co := d.al.closingOrig[i]; co < len(d.olv.LiveIn) {
-		return d.olv.LiveIn[co]
+	if co := d.al.closingOrig[i]; co < d.nOrig {
+		return d.olive.LiveIn(co)
 	}
 	return nil
 }
@@ -282,7 +286,8 @@ func (v *fnVerifier) checkFacts(g *cfg.Graph, al *alignment) {
 	}
 	d := &factFlow{
 		v: v, al: al,
-		olv:     dataflow.ComputeLiveness(og),
+		olive:   dataflow.NewCursor(dataflow.ComputeLiveness(og)),
+		nOrig:   len(v.orig.Instrs),
 		scratch: bitset.New(nRegs),
 	}
 	in := make([]*factState, len(g.Blocks))

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/bitset"
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
@@ -202,15 +203,27 @@ func (v *fnVerifier) checkKBound() {
 
 // checkPressure recomputes liveness on the allocated code and checks the
 // register pressure never exceeds k — the k-bound stated as a dataflow
-// property rather than an operand range.
+// property rather than an operand range. Each block is walked backward
+// from its live-out set; its violations are reported in program order.
 func (v *fnVerifier) checkPressure(g *cfg.Graph) {
 	lv := dataflow.ComputeLiveness(g)
-	for i := range v.alloc.Instrs {
-		if n := lv.LiveIn[i].Len(); n > v.k {
+	live := bitset.New(lv.NumRegs)
+	var over []int // a block's violations, last first: instruction, count
+	for b, blk := range g.Blocks {
+		live.Copy(lv.BlockOut(b))
+		for i := blk.End - 1; i >= blk.Start; i-- {
+			lv.Step(live, i)
+			if n := live.Len(); n > v.k {
+				over = append(over, i, n)
+			}
+		}
+		for j := len(over) - 2; j >= 0; j -= 2 {
+			i, n := over[j], over[j+1]
 			v.errorf("instr %d (%s): %d registers live, k=%d", i, v.alloc.Instrs[i], n, v.k)
 			if v.full() {
 				return
 			}
 		}
+		over = over[:0]
 	}
 }
