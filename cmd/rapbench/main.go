@@ -127,8 +127,9 @@ func main() {
 }
 
 // runAblation reports the suite-average percentage decrease under each
-// RAP configuration, quantifying what spill motion (§3.2), the Fig. 6
-// peephole (§3.3) and the per-statement regions contribute.
+// ablation of the paper's configuration, quantifying what spill motion
+// (§3.2), the Fig. 6 peephole (§3.3) and the per-statement regions
+// contribute, and how much of RAP's edge the peephole alone gives GRA.
 func runAblation(ctx context.Context, ks []int, names []string, parallel int, verify bool) {
 	configs := []struct {
 		label string
@@ -140,9 +141,6 @@ func runAblation(ctx context.Context, ks []int, names []string, parallel int, ve
 		{"phase 1 only", core.CompareConfig{RAP: rap.Options{DisableSpillMotion: true, DisablePeephole: true}}},
 		{"merged regions", core.CompareConfig{Lower: lower.Options{MergeStatements: true}}},
 		{"GRA + peephole baseline", core.CompareConfig{GRAPeephole: true}},
-		{"coalescing in both (§5)", core.CompareConfig{Coalesce: true}},
-		{"RAP + global cleanup (§5)", core.CompareConfig{RAP: rap.Options{ExtendedPeephole: true}}},
-		{"remat in both (Briggs'92)", core.CompareConfig{Rematerialize: true}},
 	}
 	fmt.Printf("%-26s", "configuration")
 	for _, k := range ks {

@@ -1,9 +1,11 @@
 // Command rapcc compiles a MiniC source file through the reproduction
 // pipeline, optionally allocates registers (RAP, GRA, IRC or naive), and
-// runs the result on the counting interpreter. Single-shot execution routes
-// through the same hardened job core (internal/serve.ExecuteJob) the
-// rapserved daemon uses, so a served result is identical to rapcc's for
-// the same inputs.
+// runs the result on the counting interpreter. GRA and RAP run the
+// paper's configuration; -merge-stmts, -rap-no-motion and
+// -rap-no-peephole are its ablations (Fig. 7, §3.2, §3.3). Single-shot
+// execution routes through the same hardened job core
+// (internal/serve.ExecuteJob) the rapserved daemon uses, so a served
+// result is identical to rapcc's for the same inputs.
 //
 // Usage:
 //
@@ -15,6 +17,7 @@
 //	rapcc -alloc gra -k 5 -dump prog.mc      # print the allocated iloc
 //	rapcc -alloc rap -k 5 -verify prog.mc    # statically verify the allocation too
 //	rapcc -compare -ks 3,5,7,9 prog.mc       # per-routine RAP vs GRA table
+//	rapcc -alloc rap -k 3 -rap-no-motion -rap-no-peephole prog.mc   # RAP phase 1 only
 //	rapcc -alloc rap -k 5 -trace-out t.jsonl -metrics m.json prog.mc
 //	rapcc -alloc rap -k 3 -run=false -explain r7 prog.mc
 //
@@ -51,8 +54,6 @@ func main() {
 		merge      = flag.Bool("merge-stmts", false, "merge per-statement regions (region granularity ablation)")
 		noMotion   = flag.Bool("rap-no-motion", false, "disable RAP's loop spill motion (ablation)")
 		noPeep     = flag.Bool("rap-no-peephole", false, "disable RAP's load/store elimination (ablation)")
-		coalesce   = flag.Bool("coalesce", false, "enable conservative coalescing (extension)")
-		remat      = flag.Bool("remat", false, "enable constant rematerialization (extension)")
 		trace      = flag.Bool("trace", false, "print every executed instruction to stderr (func, pc, cycle, instruction)")
 		traceOut   = flag.String("trace-out", "", "write allocation/pipeline events as JSON lines to this file")
 		metricsOut = flag.String("metrics", "", "write the pipeline metrics snapshot (schema rap/metrics/v2) as JSON to this file")
@@ -121,8 +122,6 @@ func main() {
 		K:             *k,
 		Verify:        *verifyFlag,
 		MergeStmts:    *merge,
-		Coalesce:      *coalesce,
-		Rematerialize: *remat,
 		RAPNoMotion:   *noMotion,
 		RAPNoPeephole: *noPeep,
 	}

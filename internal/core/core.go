@@ -98,14 +98,6 @@ type Config struct {
 	// GRAPeephole additionally runs RAP's Fig. 6 load/store elimination
 	// after GRA (an ablation; the paper's GRA does not include it).
 	GRAPeephole bool
-	// Coalesce enables conservative coalescing in whichever allocator is
-	// selected (the paper's §5 extension; off in the published
-	// configuration).
-	Coalesce bool
-	// Rematerialize enables constant rematerialization in whichever
-	// allocator is selected (extension; off in the published
-	// configuration).
-	Rematerialize bool
 	// Trace observes the whole pipeline: the front-end phases run under
 	// "parse"/"sem"/"lower" spans, and the tracer is threaded into the
 	// selected allocator (and, via an attached metrics registry, into
@@ -155,11 +147,11 @@ func Compile(src string, cfg Config) (*ir.Program, error) {
 		span := cfg.Trace.StartSpan("alloc.gra")
 		defer span.End()
 		for _, f := range p.Funcs {
-			if err := chaitin.Allocate(f, cfg.K, chaitin.Options{Coalesce: cfg.Coalesce, Rematerialize: cfg.Rematerialize, Trace: cfg.Trace}); err != nil {
+			if err := chaitin.Allocate(f, cfg.K, chaitin.Options{Trace: cfg.Trace}); err != nil {
 				return nil, fmt.Errorf("%s: %w", f.Name, err)
 			}
 			if cfg.GRAPeephole {
-				if _, err := peephole.RunTraced(f, cfg.Trace); err != nil {
+				if _, err := peephole.Run(f, cfg.Trace); err != nil {
 					return nil, fmt.Errorf("%s: %w", f.Name, err)
 				}
 			}
@@ -195,8 +187,6 @@ func Compile(src string, cfg Config) (*ir.Program, error) {
 		defer span.End()
 		for _, f := range p.Funcs {
 			ropts := cfg.RAP
-			ropts.Coalesce = ropts.Coalesce || cfg.Coalesce
-			ropts.Rematerialize = ropts.Rematerialize || cfg.Rematerialize
 			if ropts.Trace == nil {
 				ropts.Trace = cfg.Trace
 			}
@@ -300,12 +290,6 @@ type CompareConfig struct {
 	RAP   rap.Options
 	// GRAPeephole gives the baseline the Fig. 6 cleanup too (ablation).
 	GRAPeephole bool
-	// Coalesce enables conservative coalescing in BOTH allocators — the
-	// comparison the paper's §5 says it is interested in.
-	Coalesce bool
-	// Rematerialize enables constant rematerialization in BOTH
-	// allocators.
-	Rematerialize bool
 	// Verify additionally runs the static allocation verifier
 	// (internal/verify) on every allocated program, proving the k-bound,
 	// interference-freedom and spill balance against the unallocated
@@ -386,7 +370,7 @@ func CompileRef(src string, cfg CompareConfig) (*RefRun, error) {
 func verifyAllocation(label string, ref *RefRun, alloc *ir.Program, k int, cfg CompareConfig) error {
 	m := cfg.Trace.Metrics()
 	m.Add("verify.programs", 1)
-	err := verify.Program(ref.Prog, alloc, k, verify.Options{Rematerialize: cfg.Rematerialize})
+	err := verify.Program(ref.Prog, alloc, k, verify.Options{})
 	if err != nil {
 		m.Add("verify.failures", 1)
 		return fmt.Errorf("%s k=%d failed verification: %w", label, k, err)
@@ -402,8 +386,8 @@ func verifyAllocation(label string, ref *RefRun, alloc *ir.Program, k int, cfg C
 // phases.
 func CompareAtKContext(ctx context.Context, src string, k int, cfg CompareConfig, ref *RefRun) ([]Measurement, error) {
 	confs := [...]Config{
-		{Allocator: AllocGRA, K: k, Lower: cfg.Lower, GRAPeephole: cfg.GRAPeephole, Coalesce: cfg.Coalesce, Rematerialize: cfg.Rematerialize, Trace: cfg.Trace},
-		{Allocator: AllocRAP, K: k, Lower: cfg.Lower, RAP: cfg.RAP, Coalesce: cfg.Coalesce, Rematerialize: cfg.Rematerialize, Trace: cfg.Trace},
+		{Allocator: AllocGRA, K: k, Lower: cfg.Lower, GRAPeephole: cfg.GRAPeephole, Trace: cfg.Trace},
+		{Allocator: AllocRAP, K: k, Lower: cfg.Lower, RAP: cfg.RAP, Trace: cfg.Trace},
 		{Allocator: AllocIRC, K: k, Lower: cfg.Lower, Trace: cfg.Trace},
 	}
 	var progs [len(confs)]*ir.Program

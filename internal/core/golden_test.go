@@ -206,8 +206,6 @@ func TestGolden(t *testing.T) {
 				{Allocator: core.AllocGRA, K: 8},
 				{Allocator: core.AllocRAP, K: 3},
 				{Allocator: core.AllocRAP, K: 8},
-				{Allocator: core.AllocRAP, K: 5, Coalesce: true},
-				{Allocator: core.AllocRAP, K: 4, Rematerialize: true},
 				{Allocator: core.AllocNaive, K: 3},
 				{Allocator: core.AllocIRC, K: 3},
 				{Allocator: core.AllocIRC, K: 8},

@@ -110,7 +110,7 @@ func RunSeed(ctx context.Context, seed int64, cfg Config) (*Failure, error) {
 	cfg.fill()
 	src := randprog.Generate(seed, cfg.Gen)
 	var ref refRun
-	if err := runCase(ctx, cfg.CaseTimeout, func(cctx context.Context) error {
+	if err := RunIsolated(ctx, cfg.CaseTimeout, func(cctx context.Context) error {
 		return ref.build(cctx, src, cfg)
 	}); err != nil {
 		if ctx.Err() != nil {
@@ -128,7 +128,7 @@ func RunSeed(ctx context.Context, seed int64, cfg Config) (*Failure, error) {
 			}
 			cfg.Metrics.Add("fuzz.cases", 1)
 			ac, k := ac, k
-			err := runCase(ctx, cfg.CaseTimeout, func(cctx context.Context) error {
+			err := RunIsolated(ctx, cfg.CaseTimeout, func(cctx context.Context) error {
 				return checkAlloc(cctx, src, &ref, ac, k, cfg)
 			})
 			if err != nil {
@@ -208,11 +208,6 @@ func RunIsolated(ctx context.Context, timeout time.Duration, unit func(context.C
 	}
 }
 
-// runCase keeps the fuzz loop's historical name for the shared helper.
-func runCase(ctx context.Context, timeout time.Duration, unit func(context.Context) error) error {
-	return RunIsolated(ctx, timeout, unit)
-}
-
 // checkAlloc is the differential check for one (allocator, k) unit:
 // compile, statically verify, run, compare behaviour to the reference.
 func checkAlloc(ctx context.Context, src string, ref *refRun, ac core.Allocator, k int, cfg Config) error {
@@ -249,7 +244,7 @@ func Shrink(ctx context.Context, src string, ac core.Allocator, k int, cfg Confi
 		if ctx.Err() != nil {
 			return false
 		}
-		err := runCase(ctx, cfg.CaseTimeout, func(cctx context.Context) error {
+		err := RunIsolated(ctx, cfg.CaseTimeout, func(cctx context.Context) error {
 			var ref refRun
 			if err := ref.build(cctx, cand, cfg); err != nil {
 				return nil // not a well-formed candidate; keep the failure elsewhere

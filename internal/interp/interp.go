@@ -39,7 +39,7 @@ import (
 )
 
 // Stats counts executed instructions by category. The JSON field names
-// are part of the serve results' schema ("rap/serve/v1").
+// are part of the serve results' schema (serve.Schema).
 type Stats struct {
 	Cycles int64 `json:"cycles"` // every non-label instruction
 	Loads  int64 `json:"loads"`  // ldm + lds

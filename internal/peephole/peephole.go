@@ -31,15 +31,10 @@ type Stats struct {
 }
 
 // Run applies the optimization to f (normally after register allocation;
-// the pass is also correct on virtual-register code). It edits f in place
-// and returns statistics.
-func Run(f *ir.Function) (Stats, error) {
-	return RunTraced(f, nil)
-}
-
-// RunTraced is Run, additionally emitting one obs.LoadEliminated event
-// per rewrite.
-func RunTraced(f *ir.Function, tr *obs.Tracer) (Stats, error) {
+// the pass is also correct on virtual-register code), emitting one
+// obs.LoadEliminated event per rewrite to tr (nil is free). It edits f in
+// place and returns statistics.
+func Run(f *ir.Function, tr *obs.Tracer) (Stats, error) {
 	var st Stats
 	g, err := cfg.Build(f)
 	if err != nil {

@@ -16,7 +16,7 @@ func run(t *testing.T, body string) ([]string, peephole.Stats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := peephole.Run(f)
+	st, err := peephole.Run(f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

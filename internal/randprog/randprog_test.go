@@ -115,109 +115,3 @@ func TestGeneratorDeterministic(t *testing.T) {
 		t.Fatalf("only %d distinct programs from %d seeds", len(distinct), n)
 	}
 }
-
-// TestDifferentialFuzzCoalescing covers the §5 coalescing extension with
-// the same differential methodology.
-func TestDifferentialFuzzCoalescing(t *testing.T) {
-	seeds := int64(12)
-	if testing.Short() {
-		seeds = 4
-	}
-	for seed := int64(100); seed < 100+seeds; seed++ {
-		src := randprog.Generate(seed, randprog.DefaultConfig())
-		ref, err := core.Compile(src, core.Config{})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		refRes, err := core.Run(ref)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for _, k := range []int{3, 6} {
-			for _, alloc := range []core.Allocator{core.AllocGRA, core.AllocRAP} {
-				p, err := core.Compile(src, core.Config{Allocator: alloc, K: k, Coalesce: true})
-				if err != nil {
-					t.Fatalf("seed %d %s k=%d: %v\n%s", seed, alloc, k, err, src)
-				}
-				res, err := core.Run(p)
-				if err != nil {
-					t.Fatalf("seed %d %s k=%d: %v\n%s", seed, alloc, k, err, src)
-				}
-				if err := testutil.SameBehaviour(refRes, res); err != nil {
-					t.Fatalf("seed %d %s k=%d: %v\n%s", seed, alloc, k, err, src)
-				}
-			}
-		}
-	}
-}
-
-// TestDifferentialFuzzExtendedPeephole covers the global-cleanup
-// extension (§5 "better placement of spill code").
-func TestDifferentialFuzzExtendedPeephole(t *testing.T) {
-	seeds := int64(12)
-	if testing.Short() {
-		seeds = 4
-	}
-	for seed := int64(200); seed < 200+seeds; seed++ {
-		src := randprog.Generate(seed, randprog.DefaultConfig())
-		ref, err := core.Compile(src, core.Config{})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		refRes, err := core.Run(ref)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for _, k := range []int{3, 6} {
-			p, err := core.Compile(src, core.Config{
-				Allocator: core.AllocRAP, K: k,
-				RAP: rap.Options{ExtendedPeephole: true},
-			})
-			if err != nil {
-				t.Fatalf("seed %d k=%d: %v\n%s", seed, k, err, src)
-			}
-			res, err := core.Run(p)
-			if err != nil {
-				t.Fatalf("seed %d k=%d: %v\n%s", seed, k, err, src)
-			}
-			if err := testutil.SameBehaviour(refRes, res); err != nil {
-				t.Fatalf("seed %d k=%d: %v\n%s", seed, k, err, src)
-			}
-		}
-	}
-}
-
-// TestDifferentialFuzzRematerialization covers the rematerialization
-// extension with the same differential methodology.
-func TestDifferentialFuzzRematerialization(t *testing.T) {
-	seeds := int64(12)
-	if testing.Short() {
-		seeds = 4
-	}
-	for seed := int64(300); seed < 300+seeds; seed++ {
-		src := randprog.Generate(seed, randprog.DefaultConfig())
-		ref, err := core.Compile(src, core.Config{})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		refRes, err := core.Run(ref)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for _, k := range []int{3, 6} {
-			for _, alloc := range []core.Allocator{core.AllocGRA, core.AllocRAP} {
-				p, err := core.Compile(src, core.Config{Allocator: alloc, K: k, Rematerialize: true})
-				if err != nil {
-					t.Fatalf("seed %d %s k=%d: %v\n%s", seed, alloc, k, err, src)
-				}
-				res, err := core.Run(p)
-				if err != nil {
-					t.Fatalf("seed %d %s k=%d: %v\n%s", seed, alloc, k, err, src)
-				}
-				if err := testutil.SameBehaviour(refRes, res); err != nil {
-					t.Fatalf("seed %d %s k=%d: %v\n%s", seed, alloc, k, err, src)
-				}
-			}
-		}
-	}
-}

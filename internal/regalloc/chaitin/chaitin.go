@@ -22,16 +22,6 @@ const wholeFunction = -1
 
 // Options configures the allocator.
 type Options struct {
-	// MaxIterations bounds the build/colour/spill loop (0 means 100).
-	MaxIterations int
-	// Coalesce enables conservative (Briggs) coalescing of copy-related
-	// registers. The paper's GRA runs without it (§4); this is the §5
-	// extension.
-	Coalesce bool
-	// Rematerialize recomputes never-killed constants at their uses
-	// instead of spilling them through memory (Briggs et al.; the paper's
-	// GRA deliberately omits it). Extension, off by default.
-	Rematerialize bool
 	// Trace receives structured events and timings from the allocation;
 	// nil (the default) is free.
 	Trace *obs.Tracer
@@ -45,10 +35,6 @@ func Allocate(f *ir.Function, k int, opts Options) error {
 	if k < regalloc.MinRegisters {
 		return fmt.Errorf("chaitin: k=%d below minimum %d", k, regalloc.MinRegisters)
 	}
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		maxIter = 100
-	}
 	span := opts.Trace.StartSpan("gra.color")
 	defer span.End()
 	sp := regalloc.NewSpiller(f)
@@ -59,7 +45,7 @@ func Allocate(f *ir.Function, k int, opts Options) error {
 		lv   *dataflow.Liveness
 		refs []int32
 	)
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < regalloc.MaxRounds; iter++ {
 		stopBuild := opts.Trace.StartTimer("gra.phase.build")
 		var err error
 		g, err = cfg.Rebuild(g, f)
@@ -69,13 +55,9 @@ func Allocate(f *ir.Function, k int, opts Options) error {
 		}
 		lv = dataflow.RecomputeLiveness(lv, g)
 		graph := regalloc.BuildInterference(f, g, lv)
-		if opts.Coalesce {
-			regalloc.CoalesceConservative(f.Instrs, graph, k, false, nil)
-		}
 		stopBuild()
 
 		// Spill costs: refs/degree, infinite for spill temporaries.
-		// Coalesced nodes sum their members' reference counts.
 		refs = f.RefCounts(refs)
 		for _, n := range graph.Nodes() {
 			total := 0
@@ -131,37 +113,19 @@ func Allocate(f *ir.Function, k int, opts Options) error {
 		opts.Trace.Metrics().Add("gra.spill_rounds", 1)
 		stopSpill := opts.Trace.StartTimer("gra.phase.spill")
 		spilled := map[ir.Reg]bool{}
-		var remat []ir.Reg
 		for _, n := range res.Spilled {
 			for _, r := range n.Regs {
 				if sp.IsTemp(r) {
 					return fmt.Errorf("chaitin: %s: spill temporary %s selected for spilling (k too small)", f.Name, r)
 				}
-				if opts.Rematerialize {
-					if _, ok := regalloc.RematProto(f, r); ok {
-						remat = append(remat, r)
-						continue
-					}
-				}
 				spilled[r] = true
 			}
 		}
-		if len(remat) > 0 {
-			edit := regalloc.NewEdit()
-			for _, r := range remat {
-				proto, _ := regalloc.RematProto(f, r)
-				regalloc.RematerializeReg(f, sp, r, proto, edit)
-			}
-			edit.Apply(f)
-		}
-		if m := opts.Trace.Metrics(); m != nil {
-			m.Add("gra.regs_spilled", int64(len(spilled)))
-			m.Add("gra.rematerialized", int64(len(remat)))
-		}
+		opts.Trace.Metrics().Add("gra.regs_spilled", int64(len(spilled)))
 		regalloc.SpillEverywhere(f, sp, spilled)
 		stopSpill()
 	}
-	return fmt.Errorf("chaitin: %s: no colouring after %d iterations", f.Name, maxIter)
+	return fmt.Errorf("chaitin: %s: no colouring after %d iterations", f.Name, regalloc.MaxRounds)
 }
 
 // coloredEvent summarizes the successful whole-function colouring: the

@@ -80,78 +80,3 @@ func TestSpillSlotsStablePerOrigin(t *testing.T) {
 		}
 	}
 }
-
-func TestCoalesceOptionRemovesCopies(t *testing.T) {
-	src := `func f params=0 locals=0
-	loadI 7 => r1
-	i2i r1 => r2
-	i2i r2 => r3
-	print r3
-	ret
-end
-`
-	plain, err := ir.ParseFunction(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := chaitin.Allocate(plain, 4, chaitin.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	coalesced, err := ir.ParseFunction(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := chaitin.Allocate(coalesced, 4, chaitin.Options{Coalesce: true}); err != nil {
-		t.Fatal(err)
-	}
-	count := func(f *ir.Function) int {
-		n := 0
-		for _, in := range f.Instrs {
-			if in.IsCopy() {
-				n++
-			}
-		}
-		return n
-	}
-	if c := count(coalesced); c != 0 {
-		t.Errorf("coalescing left %d copies:\n%s", c, coalesced)
-	}
-	// Even plain first-fit often collapses these — but never more copies
-	// than the input had.
-	if count(plain) > 2 {
-		t.Errorf("plain allocation grew copies:\n%s", plain)
-	}
-}
-
-func TestRematOptionAvoidsSlots(t *testing.T) {
-	// The five long-lived constants rematerialize instead of spilling;
-	// only genuinely computed intermediates may still take slots. The
-	// remat configuration must therefore use strictly fewer slots and
-	// memory operations than the plain one.
-	memOps := func(opts chaitin.Options) (int, int) {
-		f := pressureFn(t)
-		if err := chaitin.Allocate(f, 3, opts); err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for _, in := range f.Instrs {
-			if in.Op == ir.OpLdSpill || in.Op == ir.OpStSpill {
-				n++
-			}
-		}
-		return n, f.SpillSlots
-	}
-	plainOps, plainSlots := memOps(chaitin.Options{})
-	rematOps, rematSlots := memOps(chaitin.Options{Rematerialize: true})
-	if rematOps >= plainOps {
-		t.Errorf("remat ops %d not below plain %d", rematOps, plainOps)
-	}
-	if rematSlots >= plainSlots {
-		t.Errorf("remat slots %d not below plain %d", rematSlots, plainSlots)
-	}
-	// No constant travels through memory: at most one slot (the computed
-	// accumulator chain) remains.
-	if rematSlots > 1 {
-		t.Errorf("remat left %d slots, want <= 1", rematSlots)
-	}
-}

@@ -31,8 +31,6 @@ import (
 
 // Options configures the allocator.
 type Options struct {
-	// MaxIterations bounds the build/colour/spill loop (0 means 100).
-	MaxIterations int
 	// Trace receives phase timings ("irc.phase.*") and counters; nil (the
 	// default) is free.
 	Trace *obs.Tracer
@@ -47,10 +45,6 @@ func Allocate(f *ir.Function, k int, opts Options) error {
 	if k < regalloc.MinRegisters {
 		return fmt.Errorf("irc: k=%d below minimum %d", k, regalloc.MinRegisters)
 	}
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		maxIter = 100
-	}
 	span := opts.Trace.StartSpan("irc.color")
 	defer span.End()
 	sp := regalloc.NewSpiller(f)
@@ -60,7 +54,7 @@ func Allocate(f *ir.Function, k int, opts Options) error {
 		g  *cfg.Graph
 		lv *dataflow.Liveness
 	)
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < regalloc.MaxRounds; iter++ {
 		stopBuild := opts.Trace.StartTimer("irc.phase.build")
 		var err error
 		g, err = cfg.Rebuild(g, f)
@@ -111,7 +105,7 @@ func Allocate(f *ir.Function, k int, opts Options) error {
 		regalloc.SpillEverywhere(f, sp, set)
 		stopSpill()
 	}
-	return fmt.Errorf("irc: %s: no colouring after %d iterations", f.Name, maxIter)
+	return fmt.Errorf("irc: %s: no colouring after %d iterations", f.Name, regalloc.MaxRounds)
 }
 
 // routeThroughABI rewrites the virtual code so every value crossing a

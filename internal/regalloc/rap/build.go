@@ -4,7 +4,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/ig"
 	"repro/internal/ir"
-	"repro/internal/regalloc"
 )
 
 // buildRegionGraph constructs the interference graph for region V in the
@@ -161,11 +160,6 @@ func (a *allocator) buildRegionGraph(V *ir.Region) *ig.Graph {
 				break
 			}
 		}
-	}
-	// Optional §5 extension: conservative coalescing of copies inside
-	// this region's span. Never merges two global nodes.
-	if a.opts.Coalesce && !span.Empty() {
-		a.stats.Coalesced += regalloc.CoalesceConservative(a.f.Instrs[span.Start:span.End], gv, a.k, true, nil)
 	}
 	return gv
 }

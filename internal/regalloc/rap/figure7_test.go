@@ -103,7 +103,6 @@ func TestSpillCleanupNeverHurts(t *testing.T) {
 	f := figure3Function()
 	run := func(opts Options) *ir.Function {
 		cp := f.Clone()
-		opts.MaxIterations = 100
 		if err := Allocate(cp, 3, opts); err != nil {
 			t.Fatal(err)
 		}

@@ -91,7 +91,6 @@ func newTestAllocator(t *testing.T, f *ir.Function, k int) *allocator {
 	a := &allocator{
 		f:         f,
 		k:         k,
-		opts:      Options{MaxIterations: 100},
 		sp:        regalloc.NewSpiller(f),
 		graphs:    map[int]*ig.Graph{},
 		spilledIn: map[int]map[ir.Reg]bool{},

@@ -35,26 +35,10 @@ import (
 
 // Options configures RAP. The zero value is the paper's configuration.
 type Options struct {
-	// MaxIterations bounds each region's build/colour/spill loop
-	// (0 means 100).
-	MaxIterations int
 	// DisableSpillMotion turns off phase 2 (ablation).
 	DisableSpillMotion bool
 	// DisablePeephole turns off phase 3 (ablation).
 	DisablePeephole bool
-	// Coalesce enables conservative (Briggs) coalescing at each region
-	// level (the paper's §5 future-work extension; off in the published
-	// configuration). Global-global merges are never performed.
-	Coalesce bool
-	// ExtendedPeephole replaces phase 3's basic-block-local pass with the
-	// whole-function dataflow version (peephole.RunGlobal) — our
-	// implementation of §5's "better placement of spill code" future
-	// work. Off in the published configuration.
-	ExtendedPeephole bool
-	// Rematerialize recomputes never-killed constants at their uses
-	// instead of spilling them (Briggs et al.; deliberately absent from
-	// the paper's configuration). Extension, off by default.
-	Rematerialize bool
 	// Trace receives structured events and per-phase timings from all
 	// three RAP phases. nil (the default) is free on the hot path. The
 	// library never consults the environment; the RAP_DEBUG shim lives
@@ -71,12 +55,6 @@ type Stats struct {
 	// RegsSpilled counts register spills (a register spilled at two
 	// region levels counts twice).
 	RegsSpilled int
-	// Coalesced counts region-level conservative coalesces (§5
-	// extension; zero unless Options.Coalesce).
-	Coalesced int
-	// Rematerialized counts registers replaced by recomputation instead
-	// of memory spills (zero unless Options.Rematerialize).
-	Rematerialized int
 	// Hoists counts spill-code families moved out of a loop (§3.2).
 	Hoists int
 	// Peephole reports phase 3's removals (§3.3).
@@ -101,9 +79,6 @@ func AllocateWithStats(f *ir.Function, k int, opts Options) (Stats, error) {
 	}
 	if f.Regions == nil {
 		return Stats{}, fmt.Errorf("rap: %s has no region tree", f.Name)
-	}
-	if opts.MaxIterations == 0 {
-		opts.MaxIterations = 100
 	}
 	a := &allocator{
 		f:         f,
@@ -142,15 +117,10 @@ func AllocateWithStats(f *ir.Function, k int, opts Options) (Stats, error) {
 		return a.stats, fmt.Errorf("rap: %w", err)
 	}
 	a.stats.CopiesRemoved = regalloc.RemoveSelfCopies(f)
-	// Phase 3: load/store elimination — basic-block local as published,
-	// or the whole-function extension.
+	// Phase 3: basic-block-local load/store elimination.
 	if !opts.DisablePeephole {
-		pass := peephole.RunTraced
-		if opts.ExtendedPeephole {
-			pass = peephole.RunGlobalTraced
-		}
 		sp3 := opts.Trace.StartSpan("rap.peephole")
-		st, err := pass(f, opts.Trace)
+		st, err := peephole.Run(f, opts.Trace)
 		sp3.End()
 		if err != nil {
 			return a.stats, fmt.Errorf("rap: %w", err)
@@ -170,8 +140,6 @@ func (a *allocator) recordStats() {
 	}
 	m.Add("rap.spill_rounds", int64(a.stats.SpillRounds))
 	m.Add("rap.regs_spilled", int64(a.stats.RegsSpilled))
-	m.Add("rap.coalesced", int64(a.stats.Coalesced))
-	m.Add("rap.rematerialized", int64(a.stats.Rematerialized))
 	m.Add("rap.hoists", int64(a.stats.Hoists))
 	m.Add("rap.peephole.loads_deleted", int64(a.stats.Peephole.LoadsDeleted))
 	m.Add("rap.peephole.loads_to_copies", int64(a.stats.Peephole.LoadsToCopies))
@@ -262,7 +230,7 @@ func (a *allocator) allocateRegion(V *ir.Region) error {
 		}
 	}
 	isEntry := V.Parent == nil
-	for iter := 0; iter < a.opts.MaxIterations; iter++ {
+	for iter := 0; iter < regalloc.MaxRounds; iter++ {
 		stopBuild := a.opts.Trace.StartTimer("rap.phase.build")
 		gv := a.buildRegionGraph(V)
 		stopBuild()
@@ -311,7 +279,7 @@ func (a *allocator) allocateRegion(V *ir.Region) error {
 		}
 	}
 	return fmt.Errorf("rap: %s: region %d not colourable after %d spill rounds (k=%d)",
-		a.f.Name, V.ID, a.opts.MaxIterations, a.k)
+		a.f.Name, V.ID, regalloc.MaxRounds, a.k)
 }
 
 // regNames renders member registers for an event.

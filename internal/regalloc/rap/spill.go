@@ -59,20 +59,6 @@ func (a *allocator) loadBefore(edit *regalloc.Edit, idx int, dst ir.Reg, slot in
 }
 
 func (a *allocator) spillReg(V *ir.Region, span ir.Span, v ir.Reg, edit *regalloc.Edit) {
-	// Extension: a rematerializable victim is recomputed at its uses
-	// instead of travelling through a spill slot. The rewrite is global
-	// (v disappears from the function), so every saved subregion summary
-	// renames v to the replacement register.
-	if a.opts.Rematerialize {
-		if proto, ok := regalloc.RematProto(a.f, v); ok {
-			vn := regalloc.RematerializeReg(a.f, a.sp, v, proto, edit)
-			for _, gs := range a.graphs {
-				gs.RenameReg(v, vn)
-			}
-			a.stats.Rematerialized++
-			return
-		}
-	}
 	slot := a.sp.SlotOf(v)
 
 	// v's reference sites in V, as the analysis saw them before any

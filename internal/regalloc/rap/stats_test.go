@@ -37,9 +37,6 @@ func TestAllocateWithStats(t *testing.T) {
 	if spillOps == 0 {
 		t.Error("no spill instructions despite reported spills")
 	}
-	if st.Coalesced != 0 {
-		t.Errorf("coalescing off but Coalesced = %d", st.Coalesced)
-	}
 }
 
 func TestAllocateWithStatsNoPressure(t *testing.T) {
@@ -53,27 +50,5 @@ func TestAllocateWithStatsNoPressure(t *testing.T) {
 	}
 	if st.RegsSpilled != 0 || st.SpillRounds != 0 || st.Hoists != 0 {
 		t.Errorf("no pressure should mean no spills: %+v", st)
-	}
-}
-
-func TestAllocateWithStatsCoalesce(t *testing.T) {
-	p, err := testutil.Compile(programs["straightline"], lower.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := rap.AllocateWithStats(p.Func("main"), 8, rap.Options{Coalesce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Coalesced == 0 {
-		t.Errorf("copy-heavy straightline code should coalesce something: %+v", st)
-	}
-	// Behaviour must be preserved (run it).
-	res, err := testutil.Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Output) == 0 {
-		t.Error("program lost its output")
 	}
 }

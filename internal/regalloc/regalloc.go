@@ -259,3 +259,7 @@ func CheckPhysical(f *ir.Function) error {
 // binary operation may need its two operands and (because of spill
 // temporaries) a distinct result register.
 const MinRegisters = 3
+
+// MaxRounds bounds each allocator's build/colour/spill loop: GRA's and
+// IRC's per function, RAP's per region.
+const MaxRounds = 100

@@ -74,6 +74,8 @@ func TestHTTPConformance(t *testing.T) {
 		{name: "malformed job", path: "/v1/jobs", body: `{"source":`, code: http.StatusBadRequest},
 		{name: "malformed batch", path: "/v1/batch", body: `{"jobs":[`, code: http.StatusBadRequest},
 		{name: "unknown job field", path: "/v1/jobs", body: `{"source":"int main() { return 0; }","frobnicate":true}`, code: http.StatusBadRequest},
+		{name: "removed job field remat", path: "/v1/jobs", body: strings.TrimSuffix(job, "}") + `,"remat":true}`, code: http.StatusBadRequest},
+		{name: "removed job field coalesce", path: "/v1/jobs", body: strings.TrimSuffix(job, "}") + `,"coalesce":true}`, code: http.StatusBadRequest},
 		{name: "unknown batch field", path: "/v1/batch", body: `{"jobs":[],"frobnicate":true}`, code: http.StatusBadRequest},
 		{name: "empty batch", path: "/v1/batch", body: `{"jobs":[]}`, code: http.StatusBadRequest},
 		{name: "batch over MaxBatch", path: "/v1/batch", body: overMaxBatch, code: http.StatusBadRequest},

@@ -81,7 +81,7 @@ func executeAlloc(ctx context.Context, job Job, opts ExecOptions) (*Outcome, err
 		if err != nil {
 			return nil, fmt.Errorf("reference compile: %w", err)
 		}
-		if err := verify.Program(ref, p, job.K, verify.Options{Rematerialize: job.Rematerialize}); err != nil {
+		if err := verify.Program(ref, p, job.K, verify.Options{}); err != nil {
 			return nil, fmt.Errorf("verify: %w", err)
 		}
 		out.Verified = true

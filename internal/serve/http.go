@@ -195,9 +195,7 @@ func writeError(w http.ResponseWriter, code int, status string, err error) {
 // proceed.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeStrict(r.Body, v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, http.StatusRequestEntityTooLarge, StatusInvalid,

@@ -15,8 +15,10 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 
@@ -27,8 +29,9 @@ import (
 )
 
 // Schema names the JSON schema jobs and results serialize to. Bump it
-// when a field changes meaning; additions are backward compatible.
-const Schema = "rap/serve/v1"
+// when a field changes meaning or goes away; additions are backward
+// compatible. v2 dropped v1's coalesce and remat job fields.
+const Schema = "rap/serve/v2"
 
 // Job modes.
 const (
@@ -46,7 +49,9 @@ const (
 var ErrBadJob = errors.New("bad job")
 
 // Job is one unit of service work: a program plus the pipeline
-// configuration to run it under.
+// configuration to run it under. The configuration is the paper's,
+// changed only by the ablation switches below; both transports refuse a
+// job that names a field Job does not declare.
 type Job struct {
 	// ID is the caller's correlation key, echoed in the Result.
 	ID string `json:"id,omitempty"`
@@ -72,11 +77,9 @@ type Job struct {
 	// Verify additionally runs the static allocation verifier against
 	// the unallocated reference.
 	Verify bool `json:"verify,omitempty"`
-	// MergeStmts, Coalesce, Rematerialize, RAPNoMotion and RAPNoPeephole
-	// mirror the rapcc ablation/extension flags.
+	// MergeStmts, RAPNoMotion and RAPNoPeephole mirror the rapcc
+	// ablation flags (the paper's Fig. 7 granularity, §3.2 and §3.3).
 	MergeStmts    bool `json:"merge_stmts,omitempty"`
-	Coalesce      bool `json:"coalesce,omitempty"`
-	Rematerialize bool `json:"remat,omitempty"`
 	RAPNoMotion   bool `json:"rap_no_motion,omitempty"`
 	RAPNoPeephole bool `json:"rap_no_peephole,omitempty"`
 	// TimeoutMS bounds this job's wall clock. The runner clamps it to
@@ -85,6 +88,27 @@ type Job struct {
 	// MaxCycles bounds each interpreter run. The runner clamps it to its
 	// configured ceiling; 0 means the ceiling.
 	MaxCycles int64 `json:"max_cycles,omitempty"`
+}
+
+// decodeStrict decodes exactly one JSON value from r into v. HTTP bodies
+// and JSONL lines both decode through it, so a field v does not declare,
+// such as a misspelt option or one an older schema had, is refused
+// rather than silently ignored, and so is anything after the value but
+// white space.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return fmt.Errorf("after the JSON value: %w", err)
+	default:
+		return errors.New("data after the JSON value")
+	}
 }
 
 // RunWanted reports whether the job asks for interpreter execution
@@ -130,12 +154,10 @@ func (j *Job) Validate() error {
 func (j *Job) coreConfig() core.Config {
 	ac, _ := core.ParseAllocator(j.Allocator)
 	return core.Config{
-		Allocator:     ac,
-		K:             j.K,
-		Lower:         lower.Options{MergeStatements: j.MergeStmts},
-		RAP:           rap.Options{DisableSpillMotion: j.RAPNoMotion, DisablePeephole: j.RAPNoPeephole},
-		Coalesce:      j.Coalesce,
-		Rematerialize: j.Rematerialize,
+		Allocator: ac,
+		K:         j.K,
+		Lower:     lower.Options{MergeStatements: j.MergeStmts},
+		RAP:       rap.Options{DisableSpillMotion: j.RAPNoMotion, DisablePeephole: j.RAPNoPeephole},
 	}
 }
 
@@ -143,12 +165,10 @@ func (j *Job) coreConfig() core.Config {
 // configuration.
 func (j *Job) compareConfig() core.CompareConfig {
 	return core.CompareConfig{
-		Lower:         lower.Options{MergeStatements: j.MergeStmts},
-		RAP:           rap.Options{DisableSpillMotion: j.RAPNoMotion, DisablePeephole: j.RAPNoPeephole},
-		Coalesce:      j.Coalesce,
-		Rematerialize: j.Rematerialize,
-		Verify:        j.Verify,
-		Funcs:         j.Funcs,
+		Lower:  lower.Options{MergeStatements: j.MergeStmts},
+		RAP:    rap.Options{DisableSpillMotion: j.RAPNoMotion, DisablePeephole: j.RAPNoPeephole},
+		Verify: j.Verify,
+		Funcs:  j.Funcs,
 	}
 }
 
@@ -183,7 +203,7 @@ func (j *Job) CacheKey() string {
 		w(strconv.Itoa(k))
 	}
 	w(strings.Join(j.Funcs, ","))
-	w(b(j.RunWanted()), b(j.Verify), b(j.MergeStmts), b(j.Coalesce), b(j.Rematerialize), b(j.RAPNoMotion), b(j.RAPNoPeephole))
+	w(b(j.RunWanted()), b(j.Verify), b(j.MergeStmts), b(j.RAPNoMotion), b(j.RAPNoPeephole))
 	w(strconv.FormatInt(j.MaxCycles, 10))
 	w(j.Source)
 	return hex.EncodeToString(h.Sum(nil))

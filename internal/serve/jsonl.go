@@ -15,7 +15,8 @@ import (
 // slots free up (offline callers get blocking backpressure instead of
 // 429), and blank lines and #-comments are skipped, so a results file
 // can be produced from a hand-maintained job list. The first malformed
-// line, or line longer than MaxRequestBytes, aborts with its line
+// line (decoded as strictly as an HTTP body: an unknown field is
+// malformed), or line longer than MaxRequestBytes, aborts with its line
 // number after the results of the lines before it are written; job-level
 // failures ride in their result line like everywhere else.
 func RunJSONL(ctx context.Context, r *Runner, in io.Reader, out io.Writer) error {
@@ -46,7 +47,7 @@ func RunJSONL(ctx context.Context, r *Runner, in io.Reader, out io.Writer) error
 			continue
 		}
 		var job Job
-		if err := json.Unmarshal([]byte(line), &job); err != nil {
+		if err := decodeStrict(strings.NewReader(line), &job); err != nil {
 			flush(true)
 			return fmt.Errorf("line %d: bad job: %w", lineNo, err)
 		}

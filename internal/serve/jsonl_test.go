@@ -65,22 +65,34 @@ func TestRunJSONL(t *testing.T) {
 	}
 }
 
+// TestRunJSONLMalformedLine: a line that is not one job, decoded as
+// strictly as an HTTP body, aborts the run naming the line, after the
+// earlier lines' results are written.
 func TestRunJSONLMalformedLine(t *testing.T) {
-	r := serve.NewRunner(serve.RunnerConfig{Workers: 1})
-	defer drained(t, r)
-
-	in := fmt.Sprintf("{\"id\":\"ok\",\"source\":%q}\nnot json at all\n", goodSrc)
-	var out bytes.Buffer
-	err := serve.RunJSONL(context.Background(), r, strings.NewReader(in), &out)
-	if err == nil {
-		t.Fatal("malformed line accepted")
-	}
-	if !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("error %q does not name line 2", err)
-	}
-	// The good job that preceded the bad line still produced its result.
-	if !strings.Contains(out.String(), `"id":"ok"`) {
-		t.Errorf("preceding job's result missing from output:\n%s", out.String())
+	job := fmt.Sprintf(`{"source":%q,"allocator":"rap","k":5`, goodSrc)
+	for _, bad := range []string{
+		"not json at all",
+		job + `,"alocator":"gra"}`, // a misspelt field
+		job + `,"remat":true}`,     // a field rap/serve/v1 had
+		job + `,"coalesce":true}`,
+		job + `} {"source":"x"}`, // two values on one line
+	} {
+		r := serve.NewRunner(serve.RunnerConfig{Workers: 1})
+		in := fmt.Sprintf("{\"id\":\"ok\",\"source\":%q}\n%s\n", goodSrc, bad)
+		var out bytes.Buffer
+		err := serve.RunJSONL(context.Background(), r, strings.NewReader(in), &out)
+		drained(t, r)
+		if err == nil {
+			t.Errorf("malformed line accepted: %.80s", bad)
+			continue
+		}
+		if !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("error %q does not name line 2", err)
+		}
+		// The good job that preceded the bad line still produced its result.
+		if !strings.Contains(out.String(), `"id":"ok"`) {
+			t.Errorf("preceding job's result missing from output:\n%s", out.String())
+		}
 	}
 }
 

@@ -7,8 +7,9 @@
 //  1. structure  — the allocated unit declares Allocated with the right K,
 //     keeps the function set, signatures, frame layout and globals of the
 //     original, and every spill access stays inside the declared frame;
-//  2. k-bound    — every register operand lies in [1, k], and liveness
-//     recomputed on the allocated code never exceeds k registers;
+//  2. k-bound    — every register operand lies in [1, k]. This also
+//     discharges the pressure obligation: code that names only k
+//     registers can never hold more than k live values;
 //  3. renaming   — the allocated body is an instruction-by-instruction
 //     renaming of the original modulo inserted spill (lds/sts) and copy
 //     (i2i) code: anchors match in order with identical non-register
@@ -29,33 +30,17 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/bitset"
 	"repro/internal/cfg"
-	"repro/internal/dataflow"
 	"repro/internal/ir"
 )
 
-// Options tunes a verification.
-type Options struct {
-	// Rematerialize declares that the allocators ran with the constant
-	// rematerialization extension, which deletes original constant
-	// definitions and re-inserts clones next to their uses. That breaks
-	// the one-to-one anchor pairing the renaming proof aligns on, so the
-	// renaming, interference and balance checks are skipped and only the
-	// structural and k-bound checks run (reduced guarantees; the
-	// published configuration never rematerializes).
-	Rematerialize bool
-	// MaxErrors caps the reported issues per function (0 means 8).
-	MaxErrors int
-}
+// Options is empty: every verification runs every check. The type stays
+// in the signatures so callers that pass Options{}, the benchmark module
+// among them, keep compiling.
+type Options struct{}
 
-// maxErrors resolves the per-function error cap.
-func (o Options) maxErrors() int {
-	if o.MaxErrors <= 0 {
-		return 8
-	}
-	return o.MaxErrors
-}
+// maxErrors caps the reported issues per function.
+const maxErrors = 8
 
 // Program verifies every function of alloc against its counterpart in
 // orig. orig must be the unallocated program the allocator started from
@@ -98,7 +83,7 @@ func Program(orig, alloc *ir.Program, k int, opts Options) error {
 // Function verifies one allocated function against its unallocated
 // original.
 func Function(orig, alloc *ir.Function, k int, opts Options) error {
-	v := &fnVerifier{orig: orig, alloc: alloc, k: k, opts: opts}
+	v := &fnVerifier{orig: orig, alloc: alloc, k: k}
 	v.checkStructure()
 	if alloc.ABI {
 		v.checkABI()
@@ -114,14 +99,11 @@ func Function(orig, alloc *ir.Function, k int, opts Options) error {
 		v.errorf("allocated code has a broken CFG: %v", err)
 		return v.err()
 	}
-	v.checkPressure(g)
-	if !opts.Rematerialize {
-		v.checkBalance(g)
-		if al, err := buildAlignment(orig, alloc); err != nil {
-			v.errs = append(v.errs, err)
-		} else {
-			v.checkFacts(g, al)
-		}
+	v.checkBalance(g)
+	if al, err := buildAlignment(orig, alloc); err != nil {
+		v.errs = append(v.errs, err)
+	} else {
+		v.checkFacts(g, al)
 	}
 	return v.err()
 }
@@ -130,17 +112,16 @@ func Function(orig, alloc *ir.Function, k int, opts Options) error {
 type fnVerifier struct {
 	orig, alloc *ir.Function
 	k           int
-	opts        Options
 	errs        []error
 }
 
 func (v *fnVerifier) errorf(format string, args ...any) {
-	if len(v.errs) <= v.opts.maxErrors() {
+	if len(v.errs) <= maxErrors {
 		v.errs = append(v.errs, fmt.Errorf("%s: "+format, append([]any{v.alloc.Name}, args...)...))
 	}
 }
 
-func (v *fnVerifier) full() bool { return len(v.errs) > v.opts.maxErrors() }
+func (v *fnVerifier) full() bool { return len(v.errs) > maxErrors }
 
 func (v *fnVerifier) err() error {
 	if len(v.errs) == 0 {
@@ -198,32 +179,5 @@ func (v *fnVerifier) checkKBound() {
 				}
 			}
 		}
-	}
-}
-
-// checkPressure recomputes liveness on the allocated code and checks the
-// register pressure never exceeds k — the k-bound stated as a dataflow
-// property rather than an operand range. Each block is walked backward
-// from its live-out set; its violations are reported in program order.
-func (v *fnVerifier) checkPressure(g *cfg.Graph) {
-	lv := dataflow.ComputeLiveness(g)
-	live := bitset.New(lv.NumRegs)
-	var over []int // a block's violations, last first: instruction, count
-	for b, blk := range g.Blocks {
-		live.Copy(lv.BlockOut(b))
-		for i := blk.End - 1; i >= blk.Start; i-- {
-			lv.Step(live, i)
-			if n := live.Len(); n > v.k {
-				over = append(over, i, n)
-			}
-		}
-		for j := len(over) - 2; j >= 0; j -= 2 {
-			i, n := over[j], over[j+1]
-			v.errorf("instr %d (%s): %d registers live, k=%d", i, v.alloc.Instrs[i], n, v.k)
-			if v.full() {
-				return
-			}
-		}
-		over = over[:0]
 	}
 }

@@ -30,7 +30,7 @@ func compilePair(t *testing.T, src string, cfg core.Config) (orig, alloc *ir.Pro
 // TestVerifyBenchSuite proves the verifier accepts every real allocation
 // the paper's evaluation produces: the benchmark suite under GRA, RAP and
 // the naive oracle at every register set size, plus the ablation
-// configurations that stay within the verifier's full-check domain.
+// configurations.
 func TestVerifyBenchSuite(t *testing.T) {
 	ks := []int{3, 5, 7, 9}
 	progs := []string{"sieve", "hanoi", "hsort", "queens", "intmm"}
@@ -44,8 +44,6 @@ func TestVerifyBenchSuite(t *testing.T) {
 		{"irc", core.Config{Allocator: core.AllocIRC}},
 		{"gra+peephole", core.Config{Allocator: core.AllocGRA, GRAPeephole: true}},
 		{"rap-merged", core.Config{Allocator: core.AllocRAP, Lower: lower.Options{MergeStatements: true}}},
-		{"rap-coalesce", core.Config{Allocator: core.AllocRAP, Coalesce: true}},
-		{"gra-coalesce", core.Config{Allocator: core.AllocGRA, Coalesce: true}},
 	}
 	if testing.Short() {
 		ks = []int{3, 7}
@@ -197,18 +195,21 @@ func TestVerifyStructural(t *testing.T) {
 		t.Error("dropped function not flagged")
 	}
 
-	rogue := alloc.Clone()
-	var mutated bool
-	for _, in := range rogue.Funcs[0].Instrs {
-		if d := in.Def(); d != ir.None {
-			in.SetDef(ir.Reg(99))
-			mutated = true
-			break
+	// A definition moved just past the register file, or far past it,
+	// fails the k-bound check. Code that names only k registers holds at
+	// most k live values, so this check also stands for register
+	// pressure.
+	for _, r := range []ir.Reg{6, 99} {
+		rogue := alloc.Clone()
+		for _, in := range rogue.Funcs[0].Instrs {
+			if in.Def() != ir.None {
+				in.SetDef(r)
+				break
+			}
 		}
-	}
-	if mutated {
-		if err := verify.Program(orig, rogue, 5, verify.Options{}); err == nil {
-			t.Error("out-of-range register not flagged")
+		err := verify.Program(orig, rogue, 5, verify.Options{})
+		if err == nil || !strings.Contains(err.Error(), "outside [1,5]") {
+			t.Errorf("definition moved to %s: got %v, want a k-bound rejection", r, err)
 		}
 	}
 
@@ -216,27 +217,5 @@ func TestVerifyStructural(t *testing.T) {
 	grown.GlobalWords++
 	if err := verify.Program(orig, grown, 5, verify.Options{}); err == nil {
 		t.Error("changed global frame not flagged")
-	}
-}
-
-// TestVerifyRematerializeReduced: with the rematerialization extension
-// the renaming proof does not apply; the reduced (structural + k-bound)
-// checks must still accept real output and still catch range violations.
-func TestVerifyRematerializeReduced(t *testing.T) {
-	prog := bench.ProgramByName("sieve")
-	k := 5
-	orig, alloc := compilePair(t, prog.Source, core.Config{Allocator: core.AllocRAP, K: k, Rematerialize: true})
-	opts := verify.Options{Rematerialize: true}
-	if err := verify.Program(orig, alloc, k, opts); err != nil {
-		t.Fatalf("remat output rejected: %v", err)
-	}
-	for _, in := range alloc.Funcs[0].Instrs {
-		if d := in.Def(); d != ir.None {
-			in.SetDef(ir.Reg(k + 1))
-			break
-		}
-	}
-	if err := verify.Program(orig, alloc, k, opts); err == nil {
-		t.Error("k-bound violation not flagged in remat mode")
 	}
 }
