@@ -13,7 +13,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -450,17 +449,4 @@ func WriteCSV(w io.Writer, rows []Row, ks []int) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// SortRowsByGain orders rows by descending total gain at the given k
-// (a convenience for analysis, not part of the paper's table).
-func SortRowsByGain(rows []Row, k int) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		mi, oki := rows[i].ByK[k]
-		mj, okj := rows[j].ByK[k]
-		if !oki || !okj {
-			return oki && !okj
-		}
-		return mi.PctTotal() > mj.PctTotal()
-	})
 }

@@ -90,16 +90,6 @@ func TestTable1Shape(t *testing.T) {
 	if len(sums) != 1 || sums[0].Rows != want {
 		t.Errorf("summary wrong: %+v", sums)
 	}
-	// SortRowsByGain orders descending.
-	bench.SortRowsByGain(rows, 3)
-	for i := 1; i < len(rows); i++ {
-		a := rows[i-1].ByK[3]
-		b := rows[i].ByK[3]
-		if a.PctTotal() < b.PctTotal() {
-			t.Error("rows not sorted by gain")
-			break
-		}
-	}
 }
 
 func TestProgramByName(t *testing.T) {

@@ -1,5 +1,6 @@
-// Package cfg builds control-flow graphs — at both instruction and basic
-// block granularity — and dominance information over IR functions.
+// Package cfg builds the control-flow graph of an IR function: its basic
+// blocks and their edges, each instruction's uses and definition, and
+// postdominance.
 package cfg
 
 import (
@@ -9,29 +10,33 @@ import (
 	"repro/internal/ir"
 )
 
-// Graph is the control-flow graph of one function.
+// Graph is the control-flow graph of one function. It holds basic blocks
+// only: an instruction's successors are the next instruction in its
+// block, or, for the block's last instruction, the first instructions of
+// the successor blocks (Succs and Preds derive them).
 type Graph struct {
 	F *ir.Function
-
-	// InstrSuccs[i] lists the instruction indices control may reach
-	// immediately after instruction i executes.
-	InstrSuccs [][]int
-	// InstrPreds is the reverse of InstrSuccs.
-	InstrPreds [][]int
 
 	// Blocks partitions the instructions into basic blocks.
 	Blocks []*Block
 	// BlockOf[i] is the index of the block containing instruction i.
 	BlockOf []int
 
-	// Storage behind the exported views, kept for Rebuild: the flat
-	// successor and predecessor arenas InstrSuccs and InstrPreds slice,
-	// the block structs Blocks points at, the arena of block edge lists,
-	// and the label index.
-	succs, preds []int
-	blocks       []Block
-	edges        []int
-	labels       map[string]int
+	// The operand table, filled in the pass that indexes the labels and
+	// read by liveness and def-use: the registers instruction i reads,
+	// each once, are useFlat[useAt[i]:useAt[i+1]], and defs[i] is the
+	// register it writes.
+	defs    []ir.Reg
+	useAt   []int32
+	useFlat []ir.Reg
+
+	// Storage behind the exported views, kept for Rebuild: the block
+	// structs Blocks points at, the arena of block edge lists, each
+	// block's predecessor count, and the label index.
+	blocks []Block
+	edges  []int
+	indeg  []int
+	labels map[string]int
 }
 
 // Block is a basic block: the half-open instruction range [Start, End).
@@ -39,7 +44,7 @@ type Block struct {
 	ID         int
 	Start, End int
 	Succs      []int // successor block IDs
-	Preds      []int // predecessor block IDs
+	Preds      []int // predecessor block IDs, ascending
 }
 
 // Build constructs the CFG for f. It returns an error if a branch targets
@@ -70,91 +75,104 @@ func Rebuild(g *Graph, f *ir.Function) (*Graph, error) {
 	} else {
 		clear(g.labels)
 	}
-	// Pass 1: the label index, and the successor count of every
-	// instruction so the arenas are sized exactly. Distinct label names
-	// name distinct instructions, so a cbr has two successors exactly
-	// when its labels differ.
-	total := 0
+	// One pass over the instructions: the label index, the block count,
+	// and the operand table. An instruction that reads a register twice
+	// records it once.
+	g.defs = resize(g.defs, n)
+	g.useAt = resize(g.useAt, n+1)
+	g.useAt[0] = 0
+	flat := g.useFlat[:0]
+	nb := 0
 	for i, in := range f.Instrs {
 		if in.Op == ir.OpLabel {
 			g.labels[in.Label] = i
 		}
-		switch in.Op {
-		case ir.OpJump:
-			total++
-		case ir.OpCBr:
-			total++
-			if in.Label != in.Label2 {
-				total++
-			}
-		case ir.OpRet:
-		default:
-			if i+1 < n {
-				total++
+		if g.leader(i) {
+			nb++
+		}
+		// Append i's operands, then keep the first of each register in
+		// place: the kept prefix never overtakes the operand it reads.
+		start := len(flat)
+		flat = in.Uses(flat)
+		uses := flat[start:]
+		flat = flat[:start]
+		for _, u := range uses {
+			if !slices.Contains(flat[start:], u) {
+				flat = append(flat, u)
 			}
 		}
+		g.useAt[i+1] = int32(len(flat))
+		g.defs[i] = in.Def()
 	}
-	g.succs = resize(g.succs, total)
-	g.preds = resize(g.preds, total)
-	g.InstrSuccs = resize(g.InstrSuccs, n)
-	g.InstrPreds = resize(g.InstrPreds, n)
+	g.useFlat = flat
+	// Cut the blocks.
 	g.BlockOf = resize(g.BlockOf, n)
-	// Pass 2: successors, resolving labels. BlockOf counts each
-	// instruction's predecessors until the blocks are cut.
-	count := g.BlockOf
-	clear(count)
+	g.blocks = resize(g.blocks, nb)
+	g.Blocks = resize(g.Blocks, nb)
+	b := -1
+	for i := range f.Instrs {
+		if g.leader(i) {
+			b++
+			g.blocks[b] = Block{ID: b, Start: i}
+			g.Blocks[b] = &g.blocks[b]
+		}
+		g.blocks[b].End = i + 1
+		g.BlockOf[i] = b
+	}
+	// A block's successors follow from its last instruction: a branch's
+	// targets, in label order, else the next block. Distinct label names
+	// name distinct instructions, so a cbr has two successors exactly
+	// when its labels differ. A block has at most two successors, so the
+	// arena is sized for two of each kind per block.
+	g.edges = resize(g.edges, 4*nb)
+	g.indeg = resize(g.indeg, nb)
+	clear(g.indeg)
 	at := 0
-	for i, in := range f.Instrs {
-		s := g.succs[at:at]
-		switch in.Op {
+	for i := range g.blocks {
+		blk := &g.blocks[i]
+		s := g.edges[at:at]
+		switch last := f.Instrs[blk.End-1]; last.Op {
 		case ir.OpJump:
-			t, ok := g.labels[in.Label]
+			t, ok := g.labels[last.Label]
 			if !ok {
-				return nil, fmt.Errorf("%s: jump to unknown label %q", f.Name, in.Label)
+				return nil, fmt.Errorf("%s: jump to unknown label %q", f.Name, last.Label)
 			}
-			s = append(s, t)
+			s = append(s, g.BlockOf[t])
 		case ir.OpCBr:
-			t1, ok1 := g.labels[in.Label]
-			t2, ok2 := g.labels[in.Label2]
+			t1, ok1 := g.labels[last.Label]
+			t2, ok2 := g.labels[last.Label2]
 			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("%s: cbr to unknown label %q/%q", f.Name, in.Label, in.Label2)
+				return nil, fmt.Errorf("%s: cbr to unknown label %q/%q", f.Name, last.Label, last.Label2)
 			}
-			s = append(s, t1)
+			s = append(s, g.BlockOf[t1])
 			if t1 != t2 {
-				s = append(s, t2)
+				s = append(s, g.BlockOf[t2])
 			}
 		case ir.OpRet:
 			// no successors
 		default:
-			if i+1 < n {
+			if blk.End < n {
 				s = append(s, i+1)
 			}
 		}
-		g.InstrSuccs[i] = s[:len(s):len(s)]
-		for _, t := range s {
-			count[t]++
-		}
+		blk.Succs = s[:len(s):len(s)]
 		at += len(s)
-	}
-	// Predecessors in source order: turn the counts into start offsets,
-	// then drop each edge at its target's cursor.
-	off := 0
-	for i, c := range count {
-		count[i] = off
-		off += c
-	}
-	for i, succs := range g.InstrSuccs {
-		for _, t := range succs {
-			g.preds[count[t]] = i
-			count[t]++
+		for _, t := range s {
+			g.indeg[t]++
 		}
 	}
-	start := 0
-	for i, end := range count {
-		g.InstrPreds[i] = g.preds[start:end:end]
-		start = end
+	// Predecessors, ascending: each block's list gets exactly its
+	// in-degree of room, and the blocks, visited in order, append
+	// themselves to their successors' lists.
+	for i := range g.blocks {
+		g.blocks[i].Preds = g.edges[at : at : at+g.indeg[i]]
+		at += g.indeg[i]
 	}
-	g.buildBlocks()
+	for i := range g.blocks {
+		for _, t := range g.blocks[i].Succs {
+			g.blocks[t].Preds = append(g.blocks[t].Preds, i)
+		}
+	}
 	return g, nil
 }
 
@@ -164,59 +182,46 @@ func (g *Graph) leader(i int) bool {
 	return i == 0 || g.F.Instrs[i].Op == ir.OpLabel || g.F.Instrs[i-1].IsBranch()
 }
 
-func (g *Graph) buildBlocks() {
-	n := len(g.F.Instrs)
-	nb := 0
-	for i := 0; i < n; i++ {
-		if g.leader(i) {
-			nb++
-		}
-	}
-	g.blocks = resize(g.blocks, nb)
-	g.Blocks = resize(g.Blocks, nb)
-	b := -1
-	for i := 0; i < n; i++ {
-		if g.leader(i) {
-			b++
-			g.blocks[b] = Block{ID: b, Start: i}
-			g.Blocks[b] = &g.blocks[b]
-		}
-		g.blocks[b].End = i + 1
-		g.BlockOf[i] = b
-	}
-	// Block edges come from the last instruction's successors plus
-	// fallthrough (which InstrSuccs already covers). Every such successor
-	// starts a block, and every predecessor of a block's first
-	// instruction ends one, so a block's predecessors are the blocks of
-	// its first instruction's predecessors, already in ascending order.
-	ne := 0
-	for i := range g.blocks {
-		ne += len(g.InstrPreds[g.blocks[i].Start])
-	}
-	g.edges = resize(g.edges, 2*ne)
-	at := 0
-	for i := range g.blocks {
-		blk := &g.blocks[i]
-		s := g.edges[at:at]
-		for _, t := range g.InstrSuccs[blk.End-1] {
-			if sb := g.BlockOf[t]; len(s) == 0 || s[0] != sb {
-				s = append(s, sb)
-			}
-		}
-		blk.Succs = s[:len(s):len(s)]
-		at += len(s)
-		p := g.edges[at:at]
-		for _, j := range g.InstrPreds[blk.Start] {
-			p = append(p, g.BlockOf[j])
-		}
-		blk.Preds = p[:len(p):len(p)]
-		at += len(p)
-	}
-}
-
 // resize returns s with length n, reusing its array when it is large
 // enough; the contents are not cleared.
 func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// Uses returns the registers instruction i reads, each once, in operand
+// order. The slice belongs to g and must not be modified.
+func (g *Graph) Uses(i int) []ir.Reg { return g.useFlat[g.useAt[i]:g.useAt[i+1]:g.useAt[i+1]] }
+
+// Def returns the register instruction i writes, or ir.None.
+func (g *Graph) Def(i int) ir.Reg { return g.defs[i] }
+
+// Succs appends to dst the instructions control may reach immediately
+// after instruction i executes and returns the extended slice: the next
+// instruction in i's block, or, when i ends it, the first instruction of
+// each successor block.
+func (g *Graph) Succs(dst []int, i int) []int {
+	blk := g.Blocks[g.BlockOf[i]]
+	if i+1 < blk.End {
+		return append(dst, i+1)
+	}
+	for _, s := range blk.Succs {
+		dst = append(dst, g.Blocks[s].Start)
+	}
+	return dst
+}
+
+// Preds appends to dst the instructions that may execute immediately
+// before instruction i and returns the extended slice: the previous
+// instruction in i's block, or, when i starts it, the last instruction
+// of each predecessor block, ascending.
+func (g *Graph) Preds(dst []int, i int) []int {
+	blk := g.Blocks[g.BlockOf[i]]
+	if i > blk.Start {
+		return append(dst, i-1)
+	}
+	for _, p := range blk.Preds {
+		dst = append(dst, g.Blocks[p].End-1)
+	}
+	return dst
+}
 
 // ReversePostorder returns block IDs in reverse postorder from the entry
 // block. Unreachable blocks are appended at the end in ID order.
@@ -247,61 +252,6 @@ func (g *Graph) ReversePostorder() []int {
 		}
 	}
 	return out
-}
-
-// Dominators computes the immediate dominator of every reachable block
-// using the Cooper/Harvey/Kennedy iterative algorithm. idom[entry] = entry;
-// unreachable blocks get idom -1.
-func (g *Graph) Dominators() []int {
-	n := len(g.Blocks)
-	idom := make([]int, n)
-	for i := range idom {
-		idom[i] = -1
-	}
-	if n == 0 {
-		return idom
-	}
-	rpo := g.ReversePostorder()
-	order := make([]int, n) // block -> rpo position
-	for pos, b := range rpo {
-		order[b] = pos
-	}
-	idom[0] = 0
-	intersect := func(a, b int) int {
-		for a != b {
-			for order[a] > order[b] {
-				a = idom[a]
-			}
-			for order[b] > order[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range rpo {
-			if b == 0 {
-				continue
-			}
-			newIdom := -1
-			for _, p := range g.Blocks[b].Preds {
-				if idom[p] == -1 {
-					continue
-				}
-				if newIdom == -1 {
-					newIdom = p
-				} else {
-					newIdom = intersect(newIdom, p)
-				}
-			}
-			if newIdom != -1 && idom[b] != newIdom {
-				idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
 }
 
 // PostDominators computes immediate postdominators over the reverse CFG
@@ -403,39 +353,4 @@ func (g *Graph) PostDominators() []int {
 		}
 	}
 	return ipdom
-}
-
-// DominatorSets materializes, for each block, the set of blocks dominating
-// it (including itself), derived from the idom tree. Unreachable blocks
-// get nil.
-func (g *Graph) DominatorSets() []map[int]bool {
-	idom := g.Dominators()
-	out := make([]map[int]bool, len(g.Blocks))
-	for b := range g.Blocks {
-		if idom[b] == -1 && b != 0 {
-			continue
-		}
-		set := map[int]bool{b: true}
-		for d := b; d != 0; d = idom[d] {
-			if idom[d] == -1 {
-				break
-			}
-			set[idom[d]] = true
-		}
-		out[b] = set
-	}
-	return out
-}
-
-// InstrDominates reports whether instruction i dominates instruction j:
-// every path from entry to j passes through i.
-func (g *Graph) InstrDominates(domSets []map[int]bool, i, j int) bool {
-	bi, bj := g.BlockOf[i], g.BlockOf[j]
-	if bi == bj {
-		return i <= j
-	}
-	if domSets[bj] == nil {
-		return false
-	}
-	return domSets[bj][bi]
 }

@@ -1,6 +1,7 @@
 package cfg_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cfg"
@@ -54,29 +55,17 @@ func TestBlocksAndEdges(t *testing.T) {
 	if len(join.Preds) != 2 {
 		t.Errorf("join should have 2 predecessors, got %v", join.Preds)
 	}
-	// Instruction-level successors: the cbr has two, the ret none.
-	if len(g.InstrSuccs[1]) != 2 {
-		t.Errorf("cbr succs = %v", g.InstrSuccs[1])
+	// Instruction-level successors: the cbr reaches both labels, the
+	// ret nothing, and the join's label follows the jump and the else arm.
+	if s := g.Succs(nil, 1); !slices.Equal(s, []int{2, 5}) {
+		t.Errorf("cbr succs = %v", s)
 	}
 	last := len(g.F.Instrs) - 1
-	if len(g.InstrSuccs[last]) != 0 {
-		t.Errorf("ret should have no successors")
+	if s := g.Succs(nil, last); len(s) != 0 {
+		t.Errorf("ret succs = %v", s)
 	}
-}
-
-func TestDominatorsDiamond(t *testing.T) {
-	g := build(t, diamond)
-	idom := g.Dominators()
-	// B0 dominates everything; the join's idom is B0 (not a branch arm).
-	if idom[1] != 0 || idom[2] != 0 {
-		t.Errorf("branch arms should be idominated by entry: %v", idom)
-	}
-	if idom[3] != 0 {
-		t.Errorf("join should be idominated by entry, got %d", idom[3])
-	}
-	sets := g.DominatorSets()
-	if !sets[3][0] || sets[3][1] || sets[3][2] {
-		t.Errorf("join dominator set wrong: %v", sets[3])
+	if p := g.Preds(nil, 7); !slices.Equal(p, []int{4, 6}) {
+		t.Errorf("join preds = %v", p)
 	}
 }
 
@@ -118,33 +107,12 @@ func TestLoopCFG(t *testing.T) {
 	if len(head.Preds) != 2 {
 		t.Errorf("loop head should have 2 preds (entry + backedge), got %v", head.Preds)
 	}
-	idom := g.Dominators()
-	if idom[2] != 1 || idom[3] != 1 {
-		t.Errorf("head should dominate body and exit: %v", idom)
+	if !slices.Equal(head.Succs, []int{2, 3}) {
+		t.Errorf("loop head should branch to body and exit, got %v", head.Succs)
 	}
 	ipdom := g.PostDominators()
 	if ipdom[2] != 1 {
 		t.Errorf("head should postdominate body, got %d", ipdom[2])
-	}
-}
-
-func TestInstrDominates(t *testing.T) {
-	g := build(t, diamond)
-	sets := g.DominatorSets()
-	// Instruction 0 dominates everything.
-	for i := range g.F.Instrs {
-		if !g.InstrDominates(sets, 0, i) {
-			t.Errorf("instr 0 should dominate %d", i)
-		}
-	}
-	// A then-arm instruction does not dominate the join.
-	thenIdx, joinIdx := 3, 7 // loadI 2 => r2 ; print r2
-	if g.InstrDominates(sets, thenIdx, joinIdx) {
-		t.Error("then arm should not dominate join")
-	}
-	// Within a block, earlier dominates later.
-	if !g.InstrDominates(sets, 0, 1) || g.InstrDominates(sets, 1, 0) {
-		t.Error("intra-block dominance wrong")
 	}
 }
 

@@ -10,13 +10,13 @@ import (
 	"repro/internal/ir"
 )
 
-// Liveness holds the registers live into and out of every basic block,
-// and every instruction's uses and definition. It stores no set per
-// instruction: a reader that needs the live set at each instruction of
-// a block walks the block backward from BlockOut with one running set,
-// applying Step at each instruction, and a reader that needs one point
-// asks LiveIn or IsLiveIn, or reads ascending points, live-out sets
-// included, through a Cursor.
+// Liveness holds the registers live into and out of every basic block;
+// it reads the instructions' uses and definitions from the graph's
+// table. It stores no set per instruction: a reader that needs the live
+// set at each instruction of a block walks the block backward from
+// BlockOut with one running set, applying Step at each instruction, and
+// a reader that needs one point asks LiveIn or IsLiveIn, or reads
+// ascending points, live-out sets included, through a Cursor.
 //
 // Registers are indexed by their integer value; index 0 (ir.None) is
 // never set.
@@ -27,13 +27,9 @@ type Liveness struct {
 	g *cfg.Graph
 	// in[b] and out[b] are the registers live into and out of block b.
 	in, out []*bitset.Set
-	// Storage kept for RecomputeLiveness: the block sets (in, out, and
-	// the fixpoint's scratch), and the instructions' defs and use lists
-	// (the uses of instruction i are useFlat[useAt[i]:useAt[i+1]]).
+	// blockSets is the storage kept for RecomputeLiveness: in, out, and
+	// the fixpoint's scratch.
 	blockSets bitset.Batch
-	defs      []ir.Reg
-	useAt     []int32
-	useFlat   []ir.Reg
 }
 
 // ComputeLiveness computes liveness for g's function: a block-level
@@ -49,24 +45,9 @@ func RecomputeLiveness(lv *Liveness, g *cfg.Graph) *Liveness {
 	if lv == nil {
 		lv = &Liveness{}
 	}
-	f := g.F
-	n := len(f.Instrs)
-	numRegs := int(f.NextReg)
+	numRegs := int(g.F.NextReg)
 	lv.g = g
 	lv.NumRegs = numRegs
-	// Precompute use/def per instruction. The per-instruction use lists
-	// are spans of one flat arena (grown by appending each instruction's
-	// uses in order) instead of n separate allocations.
-	lv.defs = resize(lv.defs, n)
-	lv.useAt = resize(lv.useAt, n+1)
-	flat := lv.useFlat[:0]
-	lv.useAt[0] = 0
-	for i, in := range f.Instrs {
-		flat = in.Uses(flat)
-		lv.useAt[i+1] = int32(len(flat))
-		lv.defs[i] = in.Def()
-	}
-	lv.useFlat = flat
 	nb := len(g.Blocks)
 	// Block sets: in and out, which the analysis keeps, and the block
 	// summaries ueVar (used before any local kill) and kill.
@@ -78,12 +59,12 @@ func RecomputeLiveness(lv *Liveness, g *cfg.Graph) *Liveness {
 	tmp := bbatch[4*nb]
 	for b, blk := range g.Blocks {
 		for i := blk.Start; i < blk.End; i++ {
-			for _, u := range lv.uses(i) {
+			for _, u := range g.Uses(i) {
 				if !kill[b].Has(int(u)) {
 					ueVar[b].Add(int(u))
 				}
 			}
-			if d := lv.defs[i]; d != ir.None {
+			if d := g.Def(i); d != ir.None {
 				kill[b].Add(int(d))
 			}
 		}
@@ -124,22 +105,16 @@ func (lv *Liveness) BlockIn(b int) *bitset.Set { return lv.in[b] }
 // to lv and must not be modified.
 func (lv *Liveness) BlockOut(b int) *bitset.Set { return lv.out[b] }
 
-// uses returns the registers instruction i reads, one entry per operand.
-func (lv *Liveness) uses(i int) []ir.Reg { return lv.useFlat[lv.useAt[i]:lv.useAt[i+1]] }
-
-// Def returns the register instruction i writes, or ir.None.
-func (lv *Liveness) Def(i int) ir.Reg { return lv.defs[i] }
-
 // Step turns live, the registers live out of instruction i, into the
 // registers live into it: i's definition is removed and its uses added.
 // Walking a block from its last instruction to its first, starting from
 // a copy of BlockOut, makes live each instruction's live-out set before
 // its Step and its live-in set after.
 func (lv *Liveness) Step(live *bitset.Set, i int) {
-	if d := lv.defs[i]; d != ir.None {
+	if d := lv.g.Def(i); d != ir.None {
 		live.Remove(int(d))
 	}
-	for _, u := range lv.uses(i) {
+	for _, u := range lv.g.Uses(i) {
 		live.Add(int(u))
 	}
 }
@@ -173,10 +148,10 @@ func copySet(dst, src *bitset.Set) *bitset.Set {
 func (lv *Liveness) IsLiveIn(i int, r ir.Reg) bool {
 	b := lv.g.BlockOf[i]
 	for j := i; j < lv.g.Blocks[b].End; j++ {
-		if slices.Contains(lv.uses(j), r) {
+		if slices.Contains(lv.g.Uses(j), r) {
 			return true
 		}
-		if lv.defs[j] == r {
+		if lv.g.Def(j) == r {
 			return false
 		}
 	}
@@ -235,7 +210,7 @@ func (c *Cursor) seek(i, at int) *bitset.Set {
 			c.live.Remove(int(u))
 		}
 		if c.killed[k] {
-			c.live.Add(int(lv.defs[c.at/2]))
+			c.live.Add(int(lv.g.Def(c.at / 2)))
 		}
 		c.at++
 	}
@@ -257,12 +232,12 @@ func (c *Cursor) load(b int) {
 	copySet(c.live, lv.out[b])
 	for i := blk.End - 1; i >= blk.Start; i-- {
 		k := i - blk.Start
-		d := lv.defs[i]
+		d := lv.g.Def(i)
 		c.killed[k] = d != ir.None && c.live.Has(int(d))
 		if d != ir.None {
 			c.live.Remove(int(d))
 		}
-		for _, u := range lv.uses(i) {
+		for _, u := range lv.g.Uses(i) {
 			if !c.live.Has(int(u)) {
 				c.live.Add(int(u))
 				c.added = append(c.added, u)
@@ -274,9 +249,11 @@ func (c *Cursor) load(b int) {
 
 // DefUse records, for every register, where it is defined and used, and
 // answers which uses a set of definitions reaches and which definitions
-// reach a set of uses. The site tables are dense per register; both
-// questions are walked on demand (the allocators only ask about the
-// handful of registers they spill).
+// reach a set of uses. The site tables are dense per register, sorted
+// from the graph's operand table, so an instruction that reads a
+// register twice is one use site; both questions are walked on demand
+// over the graph's blocks (the allocators only ask about the handful of
+// registers they spill).
 type DefUse struct {
 	// NumRegs bounds the registers with site tables: Defs and Uses are
 	// empty for every register at or above it.
@@ -287,10 +264,6 @@ type DefUse struct {
 	// useSites[useOff[r]:useOff[r+1]], each in ascending order.
 	defOff, useOff     []int32
 	defSites, useSites []int
-	// The deduplicated uses of instruction i are useFlat[useAt[i]:useAt[i+1]].
-	useAt   []int32
-	useFlat []ir.Reg
-	defAt   []ir.Reg
 	// visited/gen implement O(1) per-query reset: a slot is visited in
 	// the current walk iff visited[i] == gen. Bumping gen invalidates
 	// every slot without touching the slice.
@@ -299,8 +272,8 @@ type DefUse struct {
 	stack   []int
 }
 
-// ComputeDefUse builds def/use site tables for g's function in one scan;
-// reaching queries walk the CFG on demand.
+// ComputeDefUse builds def/use site tables for g's function from g's
+// operand table; reaching queries walk the CFG on demand.
 func ComputeDefUse(g *cfg.Graph) *DefUse { return RecomputeDefUse(nil, g) }
 
 // RecomputeDefUse builds the tables ComputeDefUse(g) would return into
@@ -310,63 +283,45 @@ func RecomputeDefUse(du *DefUse, g *cfg.Graph) *DefUse {
 	if du == nil {
 		du = &DefUse{}
 	}
-	f := g.F
-	n := len(f.Instrs)
+	n := len(g.F.Instrs)
 	du.g = g
-	du.useAt = resize(du.useAt, n+1)
-	du.defAt = resize(du.defAt, n)
 	du.visited = resize(du.visited, n)
 	clear(du.visited)
 	du.gen = 0
-	// Per-instruction deduplicated uses, and the register count the
-	// tables need.
-	numRegs := int(f.NextReg)
-	flat := du.useFlat[:0]
-	du.useAt[0] = 0
-	var buf []ir.Reg
-	for i, in := range f.Instrs {
-		buf = in.Uses(buf[:0])
-		start := len(flat)
-		for _, u := range buf {
-			if !slices.Contains(flat[start:], u) {
-				flat = append(flat, u)
-				numRegs = max(numRegs, int(u)+1)
-			}
+	// The register count the tables need.
+	numRegs := int(g.F.NextReg)
+	for i := range n {
+		numRegs = max(numRegs, int(g.Def(i))+1)
+		for _, u := range g.Uses(i) {
+			numRegs = max(numRegs, int(u)+1)
 		}
-		du.useAt[i+1] = int32(len(flat))
-		d := in.Def()
-		du.defAt[i] = d
-		numRegs = max(numRegs, int(d)+1)
 	}
-	du.useFlat = flat
 	du.NumRegs = numRegs
 	// Counting sort of the sites by register, instruction order kept.
 	du.defOff = resize(du.defOff, numRegs+1)
 	du.useOff = resize(du.useOff, numRegs+1)
 	clear(du.defOff)
 	clear(du.useOff)
-	nDefs := 0
-	for _, d := range du.defAt {
-		if d != ir.None {
+	for i := range n {
+		if d := g.Def(i); d != ir.None {
 			du.defOff[d+1]++
-			nDefs++
 		}
-	}
-	for _, u := range flat {
-		du.useOff[u+1]++
+		for _, u := range g.Uses(i) {
+			du.useOff[u+1]++
+		}
 	}
 	for r := 1; r <= numRegs; r++ {
 		du.defOff[r] += du.defOff[r-1]
 		du.useOff[r] += du.useOff[r-1]
 	}
-	du.defSites = resize(du.defSites, nDefs)
-	du.useSites = resize(du.useSites, len(flat))
-	for i, d := range du.defAt {
-		if d != ir.None {
+	du.defSites = resize(du.defSites, int(du.defOff[numRegs]))
+	du.useSites = resize(du.useSites, int(du.useOff[numRegs]))
+	for i := range n {
+		if d := g.Def(i); d != ir.None {
 			du.defSites[du.defOff[d]] = i
 			du.defOff[d]++
 		}
-		for _, u := range flat[du.useAt[i]:du.useAt[i+1]] {
+		for _, u := range g.Uses(i) {
 			du.useSites[du.useOff[u]] = i
 			du.useOff[u]++
 		}
@@ -411,7 +366,7 @@ func (du *DefUse) ReachedUses(defs []int, r ir.Reg, lv *Liveness) []int {
 	var reached []int
 	stack := du.stack[:0]
 	for _, d := range defs {
-		stack = append(stack, du.g.InstrSuccs[d]...)
+		stack = du.g.Succs(stack, d)
 	}
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
@@ -423,13 +378,13 @@ func (du *DefUse) ReachedUses(defs []int, r ir.Reg, lv *Liveness) []int {
 		if b := du.g.BlockOf[i]; lv != nil && i == du.g.Blocks[b].Start && !lv.in[b].Has(int(r)) {
 			continue // r dead here: no use ahead before a redefinition
 		}
-		if slices.Contains(du.useFlat[du.useAt[i]:du.useAt[i+1]], r) {
+		if slices.Contains(du.g.Uses(i), r) {
 			reached = append(reached, i)
 		}
-		if du.defAt[i] == r {
+		if du.g.Def(i) == r {
 			continue // killed; do not flow past
 		}
-		stack = append(stack, du.g.InstrSuccs[i]...)
+		stack = du.g.Succs(stack, i)
 	}
 	du.stack = stack
 	slices.Sort(reached)
@@ -445,7 +400,7 @@ func (du *DefUse) ReachingDefs(uses []int, r ir.Reg) []int {
 	var reaching []int
 	stack := du.stack[:0]
 	for _, u := range uses {
-		stack = append(stack, du.g.InstrPreds[u]...)
+		stack = du.g.Preds(stack, u)
 	}
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
@@ -454,11 +409,11 @@ func (du *DefUse) ReachingDefs(uses []int, r ir.Reg) []int {
 			continue
 		}
 		du.visited[i] = du.gen
-		if du.defAt[i] == r {
+		if du.g.Def(i) == r {
 			reaching = append(reaching, i)
 			continue // the walk ends at the definition
 		}
-		stack = append(stack, du.g.InstrPreds[i]...)
+		stack = du.g.Preds(stack, i)
 	}
 	du.stack = stack
 	slices.Sort(reaching)

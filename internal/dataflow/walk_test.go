@@ -11,20 +11,20 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/randprog"
+	"repro/internal/testutil"
 )
 
 // refReached is the reference forward walk: the uses of r reached from
-// the definition at d, by a plain depth-first search over instruction
-// successors that stops at definitions of r.
-func refReached(f *ir.Function, g *cfg.Graph, d int, r ir.Reg) map[int]bool {
+// the definition at d, by a plain depth-first search over the reference
+// instruction successors succs that stops at definitions of r.
+func refReached(f *ir.Function, succs [][]int, d int, r ir.Reg) map[int]bool {
 	reached := map[int]bool{}
 	seen := map[int]bool{}
-	stack := append([]int(nil), g.InstrSuccs[d]...)
+	stack := append([]int(nil), succs[d]...)
 	var buf []ir.Reg
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
@@ -39,7 +39,7 @@ func refReached(f *ir.Function, g *cfg.Graph, d int, r ir.Reg) map[int]bool {
 		if f.Instrs[i].Def() == r {
 			continue
 		}
-		stack = append(stack, g.InstrSuccs[i]...)
+		stack = append(stack, succs[i]...)
 	}
 	return reached
 }
@@ -119,12 +119,16 @@ func TestWalksMatchReference(t *testing.T) {
 		g := mustBuild(t, f)
 		lv := dataflow.ComputeLiveness(g)
 		du := dataflow.ComputeDefUse(g)
+		succs, _, err := testutil.ReferenceEdges(f)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for r := ir.Reg(1); int(r) < du.NumRegs; r++ {
 			label := fmt.Sprintf("function %d (%s) %s", fi, f.Name, r)
 			defs, uses := du.Defs(r), du.Uses(r)
 			ref := make([]map[int]bool, len(defs))
 			for i, d := range defs {
-				ref[i] = refReached(f, g, d, r)
+				ref[i] = refReached(f, succs, d, r)
 			}
 			for _, idx := range subsets(len(defs), rng) {
 				want := map[int]bool{}

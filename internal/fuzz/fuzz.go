@@ -110,39 +110,68 @@ func RunSeed(ctx context.Context, seed int64, cfg Config) (*Failure, error) {
 	cfg.fill()
 	src := randprog.Generate(seed, cfg.Gen)
 	var ref refRun
-	if err := RunIsolated(ctx, cfg.CaseTimeout, func(cctx context.Context) error {
+	// A reference failure is a generator or front-end bug, not an
+	// allocator one — report it against the first configured case.
+	if fail, err := isolated(ctx, seed, src, cfg.Allocators[0], cfg.Ks[0], cfg, func(cctx context.Context) error {
 		return ref.build(cctx, src, cfg)
-	}); err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		// A reference failure is a generator or front-end bug, not an
-		// allocator one — report it against the first configured case.
-		cfg.Metrics.Add("fuzz.failures", 1)
-		return &Failure{Seed: seed, Allocator: cfg.Allocators[0], K: cfg.Ks[0], Err: err, Src: src}, nil
+	}); fail != nil || err != nil {
+		return fail, err
 	}
 	for _, ac := range cfg.Allocators {
 		for _, k := range cfg.Ks {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+			fail, err := runCase(ctx, seed, src, &ref, ac, k, cfg)
+			if fail != nil {
+				fail.Shrunk = Shrink(ctx, src, ac, k, cfg)
 			}
-			cfg.Metrics.Add("fuzz.cases", 1)
-			ac, k := ac, k
-			err := RunIsolated(ctx, cfg.CaseTimeout, func(cctx context.Context) error {
-				return checkAlloc(cctx, src, &ref, ac, k, cfg)
-			})
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				cfg.Metrics.Add("fuzz.failures", 1)
-				f := &Failure{Seed: seed, Allocator: ac, K: k, Err: err, Src: src}
-				f.Shrunk = Shrink(ctx, src, ac, k, cfg)
-				return f, nil
+			if fail != nil || err != nil {
+				return fail, err
 			}
 		}
 	}
 	return nil, nil
+}
+
+// RunCase checks the one (allocator ac, k) case of seed's program the way
+// RunSeed checks each case, with a reference built for it alone, and
+// returns its failure unshrunk (Shrunk is empty), nil, or ctx's error. It
+// bounds the work of one call for callers with a time limit per call,
+// such as a fuzz target; rapfuzz reruns a failing case and shrinks it.
+func RunCase(ctx context.Context, seed int64, ac core.Allocator, k int, cfg Config) (*Failure, error) {
+	cfg.fill()
+	src := randprog.Generate(seed, cfg.Gen)
+	var ref refRun
+	if fail, err := isolated(ctx, seed, src, ac, k, cfg, func(cctx context.Context) error {
+		return ref.build(cctx, src, cfg)
+	}); fail != nil || err != nil {
+		return fail, err
+	}
+	return runCase(ctx, seed, src, &ref, ac, k, cfg)
+}
+
+// runCase checks the (ac, k) case of src against ref.
+func runCase(ctx context.Context, seed int64, src string, ref *refRun, ac core.Allocator, k int, cfg Config) (*Failure, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	cfg.Metrics.Add("fuzz.cases", 1)
+	return isolated(ctx, seed, src, ac, k, cfg, func(cctx context.Context) error {
+		return checkAlloc(cctx, src, ref, ac, k, cfg)
+	})
+}
+
+// isolated runs unit under RunIsolated and reports its error as a
+// failure of the case (ac, k) of seed's program src, or as ctx's error
+// when the session was cancelled.
+func isolated(ctx context.Context, seed int64, src string, ac core.Allocator, k int, cfg Config, unit func(context.Context) error) (*Failure, error) {
+	err := RunIsolated(ctx, cfg.CaseTimeout, unit)
+	if err == nil {
+		return nil, nil
+	}
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	cfg.Metrics.Add("fuzz.failures", 1)
+	return &Failure{Seed: seed, Allocator: ac, K: k, Err: err, Src: src}, nil
 }
 
 // refRun is a compiled and executed unallocated reference.

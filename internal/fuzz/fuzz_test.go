@@ -46,6 +46,18 @@ func TestRunSeedCancelled(t *testing.T) {
 	}
 }
 
+// flipLastDef is a fault to inject through the Mutate hook: it moves
+// main's last definition to another register, a corrupted colouring.
+func flipLastDef(p *ir.Program) {
+	f := p.Func("main")
+	for i := len(f.Instrs) - 1; i >= 0; i-- {
+		if d := f.Instrs[i].Def(); d != ir.None {
+			f.Instrs[i].SetDef(ir.Reg(int(d)%f.K) + 1)
+			return
+		}
+	}
+}
+
 // TestShrinkReproducer injects a fault through the Mutate hook — flip
 // one definition's register in main, a corrupted coloring — and checks
 // that the harness catches it and shrinks the reproducer below 30 lines
@@ -59,15 +71,7 @@ func TestShrinkReproducer(t *testing.T) {
 	cfg.Ks = []int{5}
 	cfg.Allocators = []core.Allocator{core.AllocGRA}
 	cfg.CaseTimeout = 10 * time.Second
-	cfg.Mutate = func(p *ir.Program) {
-		f := p.Func("main")
-		for i := len(f.Instrs) - 1; i >= 0; i-- {
-			if d := f.Instrs[i].Def(); d != ir.None {
-				f.Instrs[i].SetDef(ir.Reg(int(d)%f.K) + 1)
-				return
-			}
-		}
-	}
+	cfg.Mutate = flipLastDef
 	fail, err := fuzz.RunSeed(context.Background(), 7, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -83,22 +87,49 @@ func TestShrinkReproducer(t *testing.T) {
 	}
 }
 
-// FuzzAlloc is the native fuzz entrypoint: go test -fuzz FuzzAlloc
-// ./internal/fuzz explores generator seeds beyond the fixed corpus.
-func FuzzAlloc(f *testing.F) {
-	for s := int64(0); s < 8; s++ {
-		f.Add(s)
+// TestRunCaseUnshrunk: RunCase reports the fault RunSeed finds in the
+// same case, without shrinking it.
+func TestRunCaseUnshrunk(t *testing.T) {
+	cfg := fuzz.Default()
+	cfg.Gen = randprog.Config{MaxFuncs: 2, MaxStmtsPerBlock: 4, MaxDepth: 2}
+	cfg.Mutate = flipLastDef
+	fail, err := fuzz.RunCase(context.Background(), 7, core.AllocGRA, 5, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, seed int64) {
-		cfg := fuzz.Default()
-		cfg.Ks = []int{3, 7}
-		cfg.CaseTimeout = 10 * time.Second
-		fail, err := fuzz.RunSeed(context.Background(), seed, cfg)
+	if fail == nil || fail.Seed != 7 || fail.Allocator != core.AllocGRA || fail.K != 5 {
+		t.Fatalf("failure = %v, want seed 7 gra k=5", fail)
+	}
+	if fail.Shrunk != "" {
+		t.Errorf("RunCase shrank the reproducer:\n%s", fail.Shrunk)
+	}
+	if fail, err := fuzz.RunCase(context.Background(), 7, core.AllocGRA, 5, fuzz.Default()); fail != nil || err != nil {
+		t.Errorf("clean case: failure %v, error %v", fail, err)
+	}
+}
+
+// FuzzAlloc is the native fuzz entrypoint: go test -fuzz FuzzAlloc
+// ./internal/fuzz explores generator seeds beyond the fixed corpus. Go's
+// fuzz worker gives up on a call that runs 10 s, so one call checks one
+// (allocator, k) case and never shrinks: input n picks the program of
+// seed n>>3 and case n&7 of the four allocators at k = 3 and 7. A failure
+// prints the rapfuzz command that reruns the case and shrinks it.
+func FuzzAlloc(f *testing.F) {
+	cfg := fuzz.Default()
+	cfg.Ks = []int{3, 7}
+	cfg.CaseTimeout = 8 * time.Second
+	for n := int64(0); n < 64; n++ {
+		f.Add(n)
+	}
+	f.Fuzz(func(t *testing.T, n int64) {
+		c := int(n & 7)
+		ac, k := cfg.Allocators[c/len(cfg.Ks)], cfg.Ks[c%len(cfg.Ks)]
+		fail, err := fuzz.RunCase(context.Background(), n>>3, ac, k, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fail != nil {
-			t.Fatalf("%v\nshrunk:\n%s", fail, fail.Shrunk)
+			t.Fatalf("%v\nshrink it with: rapfuzz -seed-start %d -seeds 1 -ks %d -allocs %s", fail, fail.Seed, fail.K, fail.Allocator)
 		}
 	})
 }

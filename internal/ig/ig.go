@@ -278,18 +278,6 @@ func (g *Graph) NodesByID() []*Node {
 	return out
 }
 
-// Regs returns all member registers in ascending order.
-func (g *Graph) Regs() []ir.Reg {
-	var out []ir.Reg
-	for _, n := range g.nodes {
-		if n != nil {
-			out = append(out, n.Regs...)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
 // Merge folds node b into node a: membership and adjacency are unioned.
 // It is a no-op when a == b.
 func (g *Graph) Merge(a, b *Node) {
@@ -326,21 +314,6 @@ func (g *Graph) AddRegToNode(n *Node, r ir.Reg) {
 	g.index(r, n)
 }
 
-// Remove deletes node n and its edges from the graph.
-func (g *Graph) Remove(n *Node) {
-	n.adj.ForEach(func(id int) {
-		g.nodes[id].adj.Remove(n.id)
-	})
-	if g.tab != nil {
-		for _, r := range n.Regs {
-			g.tab.byReg[r] = nil
-		}
-	}
-	g.nodes[n.id] = nil
-	g.live--
-	n.g = nil
-}
-
 // RenameReg replaces register old with new inside its node (used when RAP
 // renames a spilled register within a subregion, §3.1.4).
 func (g *Graph) RenameReg(old, new ir.Reg) {
@@ -356,33 +329,6 @@ func (g *Graph) RenameReg(old, new ir.Reg) {
 		g.tab.byReg[old] = nil
 		g.tab.set(new, n)
 	}
-}
-
-// Clone returns a deep copy of the graph. Because the arena is dense,
-// this is a slot-for-slot slice copy — node ids are preserved — rather
-// than a pointer-map rebuild. The copy does not share g's Table: it
-// searches, or builds a Table of its own when first looked up in.
-func (g *Graph) Clone() *Graph {
-	cp := &Graph{
-		nodes: make([]*Node, len(g.nodes)),
-		live:  g.live,
-	}
-	for id, n := range g.nodes {
-		if n == nil {
-			continue
-		}
-		nn := &Node{
-			Regs:      append([]ir.Reg(nil), n.Regs...),
-			SpillCost: n.SpillCost,
-			Color:     n.Color,
-			Global:    n.Global,
-			g:         cp,
-			id:        id,
-			adj:       *n.adj.Clone(),
-		}
-		cp.nodes[id] = nn
-	}
-	return cp
 }
 
 // String renders the graph deterministically for tests and debugging.

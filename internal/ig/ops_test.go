@@ -3,8 +3,8 @@ package ig_test
 // Random operation sequences applied to the dense graph and to the
 // map-backed reference (reference_test.go) must leave both rendering
 // alike and answering every register lookup alike. The sequences use
-// register numbers in the thousands, rename registers, merge nodes
-// through AddRegToNode, remove nodes and clone graphs. They grow graphs
+// register numbers in the thousands, rename registers and merge nodes
+// through AddRegToNode. They grow graphs
 // past the node count where a graph starts indexing its registers in a
 // Table, merge them back below it, and build graphs in turn on one
 // shared Table, so that earlier graphs lose it while still in use.
@@ -88,9 +88,6 @@ func (o *opsRun) check(p *opsPair, label string) {
 			o.t.Fatalf("%s: NodeOf(%s) = %v, reference %v", label, r, dn, rn)
 		}
 	}
-	if got := p.d.Regs(); !slices.Equal(got, want) {
-		o.t.Fatalf("%s: Regs() = %v, reference %v", label, got, want)
-	}
 	for i := 0; i < 8 && len(o.pool) > 0; i++ {
 		a, b := o.pool[o.rng.Intn(len(o.pool))], o.pool[o.rng.Intn(len(o.pool))]
 		na, nb := p.r.NodeOf(a), p.r.NodeOf(b)
@@ -107,7 +104,7 @@ func (o *opsRun) check(p *opsPair, label string) {
 }
 
 // step applies one random operation to p. grow biases the mix toward
-// adding nodes, otherwise toward merging and removing them.
+// adding nodes, otherwise toward merging them.
 func (o *opsRun) step(p *opsPair, grow bool, label string) {
 	op := o.rng.Intn(10)
 	if !grow {
@@ -122,7 +119,7 @@ func (o *opsRun) step(p *opsPair, grow bool, label string) {
 		a, b := o.reg(), o.reg()
 		p.d.AddEdge(a, b)
 		p.r.AddEdge(a, b)
-	case op < 7:
+	case op < 8:
 		// A member of one node into another node: a merge, or a new
 		// member when the register is fresh.
 		x := o.member(p)
@@ -137,11 +134,6 @@ func (o *opsRun) step(p *opsPair, grow bool, label string) {
 		}
 		p.d.AddRegToNode(p.d.NodeOf(x), y)
 		p.r.AddRegToNode(p.r.NodeOf(x), y)
-	case op == 7:
-		if x := o.member(p); x != ir.None {
-			p.d.Remove(p.d.NodeOf(x))
-			p.r.Remove(p.r.NodeOf(x))
-		}
 	case op == 8:
 		if x := o.member(p); x != ir.None {
 			y := o.next
@@ -160,8 +152,8 @@ func (o *opsRun) step(p *opsPair, grow bool, label string) {
 	o.check(p, label)
 }
 
-// cycle grows p past twice TableMin nodes, then merges and removes until
-// it is below half of it.
+// cycle grows p past twice TableMin nodes, then merges until it is below
+// half of it.
 func (o *opsRun) cycle(p *opsPair, label string) {
 	for i := 0; p.d.NumNodes() <= 2*ig.TableMin && i < 2000; i++ {
 		o.step(p, true, label)
@@ -190,17 +182,6 @@ func TestDenseOpsMatchReference(t *testing.T) {
 		for range 3 {
 			o.cycle(c, label("NewOn (taker)"))
 			o.cycle(b, label("NewOn (lost its table)"))
-		}
-		// Clones are deep: the original keeps its rendering while the
-		// clone changes.
-		for _, p := range []*opsPair{a, b, c} {
-			before := p.d.String()
-			cp := &opsPair{p.d.Clone(), p.r.Clone()}
-			o.check(cp, label("clone"))
-			o.cycle(cp, label("clone"))
-			if p.d.String() != before {
-				t.Fatalf("%s: changing a clone changed the original", label("clone"))
-			}
 		}
 		if !o.grew || !o.shrank {
 			t.Fatalf("%s: node counts never crossed %d both ways", label("bounds"), ig.TableMin)

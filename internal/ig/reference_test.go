@@ -104,16 +104,6 @@ func (g *refGraph) AddRegToNode(n *refNode, r ir.Reg) {
 	g.byReg[r] = n
 }
 
-func (g *refGraph) Remove(n *refNode) {
-	for m := range n.Adj {
-		delete(m.Adj, n)
-	}
-	for _, r := range n.Regs {
-		delete(g.byReg, r)
-	}
-	delete(g.nodes, n)
-}
-
 func (g *refGraph) RenameReg(old, new ir.Reg) {
 	n, ok := g.byReg[old]
 	if !ok {
@@ -127,26 +117,6 @@ func (g *refGraph) RenameReg(old, new ir.Reg) {
 	}
 	n.sortRegs()
 	g.byReg[new] = n
-}
-
-func (g *refGraph) Clone() *refGraph {
-	cp := newRefGraph()
-	image := map[*refNode]*refNode{}
-	for n := range g.nodes {
-		nn := &refNode{Regs: append([]ir.Reg(nil), n.Regs...), Adj: map[*refNode]bool{},
-			SpillCost: n.SpillCost, Color: n.Color, Global: n.Global}
-		image[n] = nn
-		cp.nodes[nn] = true
-		for _, r := range nn.Regs {
-			cp.byReg[r] = nn
-		}
-	}
-	for n := range g.nodes {
-		for m := range n.Adj {
-			image[n].Adj[image[m]] = true
-		}
-	}
-	return cp
 }
 
 func (g *refGraph) Nodes() []*refNode {

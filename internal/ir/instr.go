@@ -241,16 +241,6 @@ func (in *Instr) IsBranch() bool {
 	return false
 }
 
-// Cycles returns the execution cost of the instruction. As in the paper's
-// experimental setup, every real instruction takes one cycle; labels are
-// free.
-func (in *Instr) Cycles() int64 {
-	if in.Op == OpLabel {
-		return 0
-	}
-	return 1
-}
-
 func (in *Instr) String() string {
 	var buf [64]byte
 	return string(in.AppendText(buf[:0]))

@@ -256,13 +256,3 @@ func TestInstrStringForms(t *testing.T) {
 		}
 	}
 }
-
-func TestCycles(t *testing.T) {
-	f, _ := ir.ParseFunction("func f params=0 locals=0\nL0:\nloadI 1 => r1\nret r1\nend\n")
-	if f.Instrs[0].Cycles() != 0 {
-		t.Error("labels must be free")
-	}
-	if f.Instrs[1].Cycles() != 1 || f.Instrs[2].Cycles() != 1 {
-		t.Error("real instructions cost one cycle")
-	}
-}

@@ -173,7 +173,8 @@ type allocator struct {
 	// on first use by labelJumpers.
 	jumpers map[string][]int
 	// defEscapes' walk state: visited[i] == visitGen marks instruction i
-	// seen by the current walk, and stack is its reused worklist.
+	// seen by the current walk, and stack is its reused worklist (and
+	// liveAtExit's list of an instruction's successors).
 	visited  []int32
 	visitGen int32
 	stack    []int
@@ -373,7 +374,8 @@ func (a *allocator) liveAtExit(V *ir.Region) *bitset.Set {
 	out := a.scratch.getSet()
 	tmp := a.scratch.getSet()
 	for i := span.Start; i < span.End; i++ {
-		for _, s := range a.g.InstrSuccs[i] {
+		a.stack = a.g.Succs(a.stack[:0], i)
+		for _, s := range a.stack {
 			if !span.Contains(s) {
 				out.UnionWith(a.lv.LiveIn(tmp, s))
 			}

@@ -207,7 +207,7 @@ func (a *allocator) defEscapes(d int, v ir.Reg, span ir.Span) bool {
 	}
 	a.visitGen++
 	escapes := false
-	stack := append(a.stack[:0], a.g.InstrSuccs[d]...)
+	stack := a.g.Succs(a.stack[:0], d)
 	for len(stack) > 0 {
 		j := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -222,7 +222,7 @@ func (a *allocator) defEscapes(d int, v ir.Reg, span ir.Span) bool {
 			}
 			continue // v dead on this path; prune
 		}
-		stack = append(stack, a.g.InstrSuccs[j]...)
+		stack = a.g.Succs(stack, j)
 	}
 	a.stack = stack
 	return escapes

@@ -32,7 +32,7 @@ func BuildInterference(f *ir.Function, g *cfg.Graph, lv *dataflow.Liveness) *ig.
 	for b, blk := range g.Blocks {
 		live.Copy(lv.BlockOut(b))
 		for i := blk.End - 1; i >= blk.Start; i-- {
-			if d := lv.Def(i); d != ir.None {
+			if d := g.Def(i); d != ir.None {
 				copySrc := ir.None
 				if in := f.Instrs[i]; in.IsCopy() {
 					copySrc = in.Src1
@@ -91,12 +91,6 @@ func (sp *Spiller) SlotOf(r ir.Reg) int64 {
 	return s
 }
 
-// HasSlot reports whether a slot has already been allocated for r's origin.
-func (sp *Spiller) HasSlot(r ir.Reg) bool {
-	_, ok := sp.slots[sp.Origin(r)]
-	return ok
-}
-
 // NewTemp returns a fresh register recorded as a spill temporary derived
 // from r.
 func (sp *Spiller) NewTemp(r ir.Reg) ir.Reg {
@@ -141,11 +135,6 @@ func (e *Edit) InsertBefore(i int, ins ...*ir.Instr) {
 // InsertAfter schedules instructions after index i.
 func (e *Edit) InsertAfter(i int, ins ...*ir.Instr) {
 	e.After[i] = append(e.After[i], ins...)
-}
-
-// Empty reports whether the edit changes nothing.
-func (e *Edit) Empty() bool {
-	return len(e.Before) == 0 && len(e.After) == 0 && len(e.Delete) == 0
 }
 
 // Apply rewrites f's instruction list with the scheduled edits.

@@ -91,9 +91,6 @@ func TestSpiller(t *testing.T) {
 	if f.SpillSlots != 2 {
 		t.Errorf("SpillSlots = %d, want 2", f.SpillSlots)
 	}
-	if !sp.HasSlot(5) || sp.HasSlot(7) {
-		t.Error("HasSlot wrong")
-	}
 }
 
 func TestEditApply(t *testing.T) {
@@ -114,9 +111,6 @@ func TestEditApply(t *testing.T) {
 		if f.Instrs[i].String() != w {
 			t.Errorf("instr %d = %s, want %s", i, f.Instrs[i], w)
 		}
-	}
-	if !regalloc.NewEdit().Empty() || e.Empty() {
-		t.Error("Empty() wrong")
 	}
 }
 

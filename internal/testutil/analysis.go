@@ -41,22 +41,18 @@ func SizeExtremePairs(seeds, m int) ([][2]*ir.Function, error) {
 func sameInts(a, b []int) bool { return len(a) == len(b) && (len(a) == 0 || slices.Equal(a, b)) }
 
 // SameCFG returns an error naming the first field where got differs from
-// want: the function, InstrSuccs, InstrPreds, BlockOf, or a block's
-// range, Succs or Preds.
+// want: the function, an instruction's uses or definition, BlockOf, or a
+// block's range, Succs or Preds.
 func SameCFG(got, want *cfg.Graph) error {
 	if got.F != want.F {
 		return fmt.Errorf("F = %s, want %s", got.F.Name, want.F.Name)
 	}
-	if len(got.InstrSuccs) != len(want.InstrSuccs) || len(got.InstrPreds) != len(want.InstrPreds) {
-		return fmt.Errorf("instruction tables have %d/%d entries, want %d/%d",
-			len(got.InstrSuccs), len(got.InstrPreds), len(want.InstrSuccs), len(want.InstrPreds))
-	}
-	for i := range want.InstrSuccs {
-		if !sameInts(got.InstrSuccs[i], want.InstrSuccs[i]) {
-			return fmt.Errorf("InstrSuccs[%d] = %v, want %v", i, got.InstrSuccs[i], want.InstrSuccs[i])
+	for i := range want.F.Instrs {
+		if g, w := got.Uses(i), want.Uses(i); !slices.Equal(g, w) {
+			return fmt.Errorf("Uses(%d) = %v, want %v", i, g, w)
 		}
-		if !sameInts(got.InstrPreds[i], want.InstrPreds[i]) {
-			return fmt.Errorf("InstrPreds[%d] = %v, want %v", i, got.InstrPreds[i], want.InstrPreds[i])
+		if g, w := got.Def(i), want.Def(i); g != w {
+			return fmt.Errorf("Def(%d) = %s, want %s", i, g, w)
 		}
 	}
 	if !sameInts(got.BlockOf, want.BlockOf) {
@@ -73,6 +69,53 @@ func SameCFG(got, want *cfg.Graph) error {
 		}
 	}
 	return nil
+}
+
+// ReferenceEdges returns the instruction-level control flow of f, found
+// from its branch targets and labels alone: succs[i] lists the
+// instructions control may reach immediately after instruction i (a
+// jump's target, a cbr's targets in label order and each once, nothing
+// after a ret, else the next instruction), and preds[i] lists, in
+// ascending order, the instructions whose successors include i. It is
+// the oracle for the block-derived cfg.Graph.Succs and Preds.
+func ReferenceEdges(f *ir.Function) (succs, preds [][]int, err error) {
+	labels := map[string]int{}
+	for i, in := range f.Instrs {
+		if in.Op == ir.OpLabel {
+			labels[in.Label] = i
+		}
+	}
+	n := len(f.Instrs)
+	succs, preds = make([][]int, n), make([][]int, n)
+	for i, in := range f.Instrs {
+		switch in.Op {
+		case ir.OpJump:
+			t, ok := labels[in.Label]
+			if !ok {
+				return nil, nil, fmt.Errorf("%s: jump to unknown label %q", f.Name, in.Label)
+			}
+			succs[i] = []int{t}
+		case ir.OpCBr:
+			t1, ok1 := labels[in.Label]
+			t2, ok2 := labels[in.Label2]
+			if !ok1 || !ok2 {
+				return nil, nil, fmt.Errorf("%s: cbr to unknown label %q/%q", f.Name, in.Label, in.Label2)
+			}
+			succs[i] = []int{t1}
+			if t2 != t1 {
+				succs[i] = append(succs[i], t2)
+			}
+		case ir.OpRet:
+		default:
+			if i+1 < n {
+				succs[i] = []int{i + 1}
+			}
+		}
+		for _, t := range succs[i] {
+			preds[t] = append(preds[t], i)
+		}
+	}
+	return succs, preds, nil
 }
 
 // Liveness is the reference liveness analysis: the registers live into
@@ -158,8 +201,8 @@ func ReferenceLiveness(g *cfg.Graph) *Liveness {
 }
 
 // SameLiveness returns an error naming the first point where got differs
-// from the reference want for g's function: its register count, an
-// instruction's definition, a block's live-in or live-out set (contents
+// from the reference want for g's function: its register count, a
+// block's live-in or live-out set (contents
 // or capacity), a set a backward walk with Step holds, a set an
 // ascending Cursor reads, or, at the instructions at selects, the set
 // LiveIn derives, a set a Cursor reads after reloading its block, or
@@ -168,11 +211,6 @@ func ReferenceLiveness(g *cfg.Graph) *Liveness {
 func SameLiveness(g *cfg.Graph, got *dataflow.Liveness, want *Liveness, at func(i int) bool, regs func(ir.Reg) bool) error {
 	if got.NumRegs != want.NumRegs {
 		return fmt.Errorf("NumRegs = %d, want %d", got.NumRegs, want.NumRegs)
-	}
-	for i, in := range g.F.Instrs {
-		if d := in.Def(); got.Def(i) != d {
-			return fmt.Errorf("Def(%d) = %s, want %s", i, got.Def(i), d)
-		}
 	}
 	live := bitset.New(want.NumRegs)
 	for b, blk := range g.Blocks {
