@@ -10,9 +10,9 @@
 //     paper motivates with Figure 7.
 //   - BenchmarkAblation* quantify RAP's phase 2 (loop spill motion, §3.2)
 //     and phase 3 (load/store elimination, §3.3) on the whole suite.
-//   - BenchmarkAlloc*/BenchmarkPDGBuild/BenchmarkInterp* measure the
-//     infrastructure itself (compile-time costs, which §1 contrasts with
-//     Proebsting/Fischer's expensive approach).
+//   - BenchmarkAlloc*/BenchmarkVerify/BenchmarkPDGBuild/BenchmarkInterp*
+//     measure the infrastructure itself (compile-time costs, which §1
+//     contrasts with Proebsting/Fischer's expensive approach).
 //
 // Run with: go test -bench=. -benchmem
 package repro_test
@@ -30,6 +30,7 @@ import (
 	"repro/internal/regalloc/chaitin"
 	"repro/internal/regalloc/rap"
 	"repro/internal/testutil"
+	"repro/internal/verify"
 )
 
 // benchTable1 runs the Table 1 suite at one register set size and reports
@@ -123,6 +124,27 @@ func BenchmarkAllocRAPSpill(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Compile(src, core.Config{Allocator: core.AllocRAP, K: 3}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVerify runs the static verifier on BenchmarkAllocRAPSpill's
+// program allocated by RAP at k=3, against the program RAP started from.
+func BenchmarkVerify(b *testing.B) {
+	src := randprog.Generate(78, randprog.Config{MaxFuncs: 3, MaxStmtsPerBlock: 5, MaxDepth: 2, Floats: true})
+	orig, err := core.Frontend(src, lower.Options{}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	alloc := orig.Clone()
+	if err := core.Allocate(alloc, core.Config{Allocator: core.AllocRAP, K: 3}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := verify.Program(orig, alloc, 3, verify.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

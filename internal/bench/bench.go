@@ -206,7 +206,7 @@ func measure(ctx context.Context, progs []Program, ks []int, cfg core.CompareCon
 			errs[u] = fmt.Errorf("%s: %w", prog.Name, err)
 			return
 		}
-		ms, err := compareUnit(ctx, prog.Source, k, pcfg, ref)
+		ms, err := compareUnit(ctx, k, pcfg, ref)
 		if err != nil {
 			errs[u] = fmt.Errorf("%s: %w", prog.Name, err)
 			return
@@ -282,11 +282,11 @@ func measure(ctx context.Context, progs []Program, ks []int, cfg core.CompareCon
 // compareUnit runs one (program, k) comparison behind the fuzz isolation
 // boundary, so a panic inside one unit becomes that unit's error instead
 // of taking down the whole suite.
-func compareUnit(ctx context.Context, src string, k int, cfg core.CompareConfig, ref *core.RefRun) ([]core.Measurement, error) {
+func compareUnit(ctx context.Context, k int, cfg core.CompareConfig, ref *core.RefRun) ([]core.Measurement, error) {
 	var ms []core.Measurement
 	err := fuzz.RunIsolated(ctx, 0, func(cctx context.Context) error {
 		var uerr error
-		ms, uerr = core.CompareAtKContext(cctx, src, k, cfg, ref)
+		ms, uerr = core.CompareAtKContext(cctx, k, cfg, ref)
 		return uerr
 	})
 	if err != nil {

@@ -140,48 +140,67 @@ func Compile(src string, cfg Config) (*ir.Program, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := allocate(p, cfg); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Allocate runs the configured allocator over an already-lowered
+// program, rewriting its functions in place; AllocNone leaves it as it
+// is. cfg.Lower is not read: it configured the front end that made p. A
+// caller that verifies the allocation allocates a Clone and keeps p as
+// the verifier's original.
+func Allocate(p *ir.Program, cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	return allocate(p, cfg)
+}
+
+func allocate(p *ir.Program, cfg Config) error {
 	switch cfg.Allocator {
 	case "", AllocNone:
-		return p, nil
+		return nil
 	case AllocGRA:
 		span := cfg.Trace.StartSpan("alloc.gra")
 		defer span.End()
 		for _, f := range p.Funcs {
 			if err := chaitin.Allocate(f, cfg.K, chaitin.Options{Trace: cfg.Trace}); err != nil {
-				return nil, fmt.Errorf("%s: %w", f.Name, err)
+				return fmt.Errorf("%s: %w", f.Name, err)
 			}
 			if cfg.GRAPeephole {
 				if _, err := peephole.Run(f, cfg.Trace); err != nil {
-					return nil, fmt.Errorf("%s: %w", f.Name, err)
+					return fmt.Errorf("%s: %w", f.Name, err)
 				}
 			}
 			if err := regalloc.CheckPhysical(f); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		return p, nil
+		return nil
 	case AllocNaive:
 		for _, f := range p.Funcs {
 			if err := naive.Allocate(f, cfg.K); err != nil {
-				return nil, fmt.Errorf("%s: %w", f.Name, err)
+				return fmt.Errorf("%s: %w", f.Name, err)
 			}
 			if err := regalloc.CheckPhysical(f); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		return p, nil
+		return nil
 	case AllocIRC:
 		span := cfg.Trace.StartSpan("alloc.irc")
 		defer span.End()
 		for _, f := range p.Funcs {
 			if err := irc.Allocate(f, cfg.K, irc.Options{Trace: cfg.Trace}); err != nil {
-				return nil, fmt.Errorf("%s: %w", f.Name, err)
+				return fmt.Errorf("%s: %w", f.Name, err)
 			}
 			if err := regalloc.CheckPhysical(f); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		return p, nil
+		return nil
 	case AllocRAP:
 		span := cfg.Trace.StartSpan("alloc.rap")
 		defer span.End()
@@ -191,15 +210,15 @@ func Compile(src string, cfg Config) (*ir.Program, error) {
 				ropts.Trace = cfg.Trace
 			}
 			if err := rap.Allocate(f, cfg.K, ropts); err != nil {
-				return nil, fmt.Errorf("%s: %w", f.Name, err)
+				return fmt.Errorf("%s: %w", f.Name, err)
 			}
 			if err := regalloc.CheckPhysical(f); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		return p, nil
+		return nil
 	}
-	return nil, fmt.Errorf("core: unknown allocator %q", cfg.Allocator)
+	return fmt.Errorf("core: unknown allocator %q", cfg.Allocator)
 }
 
 // Run executes a compiled program on the counting interpreter.
@@ -344,9 +363,10 @@ func staticSize(f *ir.Function) int {
 }
 
 // RefRun is a compiled and executed unallocated reference program — the
-// oracle every allocation is validated against. One RefRun may be shared
-// by any number of concurrent CompareAtKContext calls; it is read-only
-// after CompileRef returns.
+// oracle every allocation is validated against, and the program every
+// allocation of the comparison starts from as a Clone. One RefRun may be
+// shared by any number of concurrent CompareAtKContext calls; it is
+// read-only after CompileRef returns.
 type RefRun struct {
 	Prog *ir.Program
 	Res  *interp.Result
@@ -379,16 +399,16 @@ func verifyAllocation(label string, ref *RefRun, alloc *ir.Program, k int, cfg C
 }
 
 // CompareAtKContext measures one register set size against a prepared
-// reference: compile src under GRA, RAP and IRC at k, run all three,
-// verify behaviour (and, with cfg.Verify, the static allocation
-// invariants), and report per-routine statistics. It is the unit of work
-// the parallel harness fans out; ctx cancellation is observed between
-// phases.
-func CompareAtKContext(ctx context.Context, src string, k int, cfg CompareConfig, ref *RefRun) ([]Measurement, error) {
+// reference: allocate a clone of ref.Prog under GRA, RAP and IRC at k,
+// run all three, verify behaviour (and, with cfg.Verify, the static
+// allocation invariants), and report per-routine statistics. It is the
+// unit of work the parallel harness fans out; ctx cancellation is
+// observed between phases.
+func CompareAtKContext(ctx context.Context, k int, cfg CompareConfig, ref *RefRun) ([]Measurement, error) {
 	confs := [...]Config{
-		{Allocator: AllocGRA, K: k, Lower: cfg.Lower, GRAPeephole: cfg.GRAPeephole, Trace: cfg.Trace},
-		{Allocator: AllocRAP, K: k, Lower: cfg.Lower, RAP: cfg.RAP, Trace: cfg.Trace},
-		{Allocator: AllocIRC, K: k, Lower: cfg.Lower, Trace: cfg.Trace},
+		{Allocator: AllocGRA, K: k, GRAPeephole: cfg.GRAPeephole, Trace: cfg.Trace},
+		{Allocator: AllocRAP, K: k, RAP: cfg.RAP, Trace: cfg.Trace},
+		{Allocator: AllocIRC, K: k, Trace: cfg.Trace},
 	}
 	var progs [len(confs)]*ir.Program
 	var runs [len(confs)]*interp.Result
@@ -396,8 +416,8 @@ func CompareAtKContext(ctx context.Context, src string, k int, cfg CompareConfig
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := Compile(src, conf)
-		if err != nil {
+		p := ref.Prog.Clone()
+		if err := Allocate(p, conf); err != nil {
 			return nil, fmt.Errorf("%s k=%d: %w", conf.Allocator, k, err)
 		}
 		if cfg.Verify {
@@ -460,7 +480,7 @@ func CompareContext(ctx context.Context, src string, ks []int, cfg CompareConfig
 	}
 	var out []Measurement
 	for _, k := range ks {
-		ms, err := CompareAtKContext(ctx, src, k, cfg, ref)
+		ms, err := CompareAtKContext(ctx, k, cfg, ref)
 		if err != nil {
 			return nil, err
 		}

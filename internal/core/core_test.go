@@ -4,7 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/lower"
+	"repro/internal/randprog"
 )
 
 const sample = `
@@ -145,5 +148,60 @@ func TestNaiveAllocatorInPipeline(t *testing.T) {
 	// Everything travels through memory: loads+stores dominate cycles.
 	if res.Total.Loads+res.Total.Stores < res.Total.Cycles/3 {
 		t.Errorf("naive should be memory-bound: %+v", res.Total)
+	}
+}
+
+// TestAllocateCloneMatchesCompile: a caller that lowers a source once
+// and allocates a Clone of the result gets exactly the code Compile
+// gives, and the program it cloned keeps printing what a fresh Frontend
+// of the source prints, so it can serve as the verifier's original.
+func TestAllocateCloneMatchesCompile(t *testing.T) {
+	var srcs []string
+	for _, p := range bench.Programs() {
+		srcs = append(srcs, p.Source)
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		srcs = append(srcs, randprog.Generate(seed, randprog.DefaultConfig()))
+	}
+	ks := []int{3, 4, 5, 6, 7, 8, 9}
+	if testing.Short() {
+		ks = []int{3, 6, 9}
+	}
+	allocs := []core.Allocator{core.AllocGRA, core.AllocRAP, core.AllocIRC, core.AllocNaive}
+	frontend := func(src string) string {
+		t.Helper()
+		p, err := core.Frontend(src, lower.Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.String()
+	}
+	for i, src := range srcs {
+		orig, err := core.Frontend(src, lower.Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ac := range allocs {
+			for _, k := range ks {
+				cfg := core.Config{Allocator: ac, K: k}
+				want, err := core.Compile(src, cfg)
+				if err != nil {
+					t.Fatalf("source %d %s k=%d: %v", i, ac, k, err)
+				}
+				got := orig.Clone()
+				if err := core.Allocate(got, cfg); err != nil {
+					t.Fatalf("source %d %s k=%d: Allocate: %v", i, ac, k, err)
+				}
+				if got.String() != want.String() {
+					t.Errorf("source %d %s k=%d: Allocate on a clone differs from Compile", i, ac, k)
+				}
+			}
+		}
+		if orig.String() != frontend(src) {
+			t.Errorf("source %d: allocating clones changed the program they were cloned from", i)
+		}
+	}
+	if err := core.Allocate(nil, core.Config{Allocator: "bogus", K: 5}); err == nil {
+		t.Error("Allocate accepted an unknown allocator")
 	}
 }

@@ -155,7 +155,7 @@ func runCase(ctx context.Context, seed int64, src string, ref *refRun, ac core.A
 	}
 	cfg.Metrics.Add("fuzz.cases", 1)
 	return isolated(ctx, seed, src, ac, k, cfg, func(cctx context.Context) error {
-		return checkAlloc(cctx, src, ref, ac, k, cfg)
+		return checkAlloc(cctx, ref, ac, k, cfg)
 	})
 }
 
@@ -238,10 +238,11 @@ func RunIsolated(ctx context.Context, timeout time.Duration, unit func(context.C
 }
 
 // checkAlloc is the differential check for one (allocator, k) unit:
-// compile, statically verify, run, compare behaviour to the reference.
-func checkAlloc(ctx context.Context, src string, ref *refRun, ac core.Allocator, k int, cfg Config) error {
-	alloc, err := core.Compile(src, core.Config{Allocator: ac, K: k})
-	if err != nil {
+// allocate a clone of the reference program, statically verify it
+// against the reference, run it, compare behaviour to the reference.
+func checkAlloc(ctx context.Context, ref *refRun, ac core.Allocator, k int, cfg Config) error {
+	alloc := ref.prog.Clone()
+	if err := core.Allocate(alloc, core.Config{Allocator: ac, K: k}); err != nil {
 		return fmt.Errorf("%s k=%d compile: %w", ac, k, err)
 	}
 	if cfg.Mutate != nil {
@@ -278,7 +279,7 @@ func Shrink(ctx context.Context, src string, ac core.Allocator, k int, cfg Confi
 			if err := ref.build(cctx, cand, cfg); err != nil {
 				return nil // not a well-formed candidate; keep the failure elsewhere
 			}
-			return checkAlloc(cctx, cand, &ref, ac, k, cfg)
+			return checkAlloc(cctx, &ref, ac, k, cfg)
 		})
 		return err != nil
 	}

@@ -70,17 +70,21 @@ func ExecuteJob(ctx context.Context, job Job, opts ExecOptions) (*Outcome, error
 func executeAlloc(ctx context.Context, job Job, opts ExecOptions) (*Outcome, error) {
 	cfg := job.coreConfig()
 	cfg.Trace = opts.Tracer
-	p, err := core.Compile(job.Source, cfg)
+	p, err := core.Frontend(job.Source, cfg.Lower, cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
+	// A verified job allocates a clone, so the verifier proves the
+	// allocation against the exact program the allocator started from.
+	ref, verifying := p, job.Verify && cfg.Allocator != core.AllocNone
+	if verifying {
+		p = p.Clone()
+	}
+	if err := core.Allocate(p, cfg); err != nil {
+		return nil, err
+	}
 	out := &Outcome{Prog: p}
-	if job.Verify && cfg.Allocator != core.AllocNone {
-		refCfg := core.Config{Lower: cfg.Lower, Trace: opts.Tracer}
-		ref, err := core.Compile(job.Source, refCfg)
-		if err != nil {
-			return nil, fmt.Errorf("reference compile: %w", err)
-		}
+	if verifying {
 		if err := verify.Program(ref, p, job.K, verify.Options{}); err != nil {
 			return nil, fmt.Errorf("verify: %w", err)
 		}

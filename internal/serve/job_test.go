@@ -1,10 +1,12 @@
 package serve_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -103,5 +105,26 @@ func TestCacheKeyDistinguishesAllocators(t *testing.T) {
 	}
 	if len(seen) != len(core.Allocators()) {
 		t.Errorf("%d distinct keys for %d allocators", len(seen), len(core.Allocators()))
+	}
+}
+
+// TestVerifiedAllocParsesOnce: a verified alloc job lowers its source
+// once and verifies the allocation against a clone of that program, so
+// the front end's spans appear once per job.
+func TestVerifiedAllocParsesOnce(t *testing.T) {
+	m := obs.NewMetrics()
+	tr := (*obs.Tracer)(nil).WithMetrics(m)
+	job := serve.Job{Source: goodSrc, Allocator: "rap", K: 5, Verify: true}
+	out, err := serve.ExecuteJob(context.Background(), job, serve.ExecOptions{Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Verified {
+		t.Fatal("job not verified")
+	}
+	for _, span := range []string{"parse", "sem", "lower"} {
+		if n := m.Snapshot().TimeHistsNS[span].Count; n != 1 {
+			t.Errorf("%s spans = %d, want 1", span, n)
+		}
 	}
 }

@@ -145,12 +145,12 @@ func (d *factFlow) abiCallClobber(st *factState, i int, in *ir.Instr, check bool
 		if live := d.liveAt(i); live != nil {
 			live.ForEach(func(y int) {
 				held, survives := false, false
-				for L := range st.locs {
-					if !st.locs[L].Has(y) {
+				for loc := range st.written {
+					if !st.holds(loc, ir.Reg(y)) {
 						continue
 					}
 					held = true
-					if !clobbered(L) {
+					if !clobbered(loc) {
 						survives = true
 						break
 					}
@@ -161,9 +161,9 @@ func (d *factFlow) abiCallClobber(st *factState, i int, in *ir.Instr, check bool
 			})
 		}
 	}
-	for L := 0; L < n; L++ {
-		if L != dstLoc {
-			st.locs[L].Clear()
+	for loc := 0; loc < n; loc++ {
+		if loc != dstLoc {
+			st.empty(loc)
 		}
 	}
 }

@@ -18,22 +18,20 @@ import (
 // paper's terms.
 func (v *fnVerifier) checkBalance(g *cfg.Graph) {
 	stored := map[int64]bool{}
-	anyLoad := false
 	for _, in := range v.alloc.Instrs {
-		switch in.Op {
-		case ir.OpStSpill:
+		if in.Op == ir.OpStSpill {
 			stored[in.Imm] = true
-		case ir.OpLdSpill:
-			anyLoad = true
 		}
 	}
-	if !anyLoad {
-		return
-	}
-	du := dataflow.ComputeDefUse(g)
+	// Only a load from a slot that no store writes reads the def-use
+	// chains, so they are built at the first such load.
+	var du *dataflow.DefUse
 	for i, in := range v.alloc.Instrs {
 		if in.Op != ir.OpLdSpill || stored[in.Imm] {
 			continue
+		}
+		if du == nil {
+			du = dataflow.ComputeDefUse(g)
 		}
 		for _, u := range du.ReachedUses([]int{i}, in.Dst, nil) {
 			use := v.alloc.Instrs[u]

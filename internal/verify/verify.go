@@ -21,6 +21,14 @@
 //  5. spill balance — spill loads are balanced against stores to a
 //     consistent stack slot.
 //
+// The renaming and interference checks read one relational forward
+// dataflow (facts.go), whose state gives every location the set of
+// original registers whose value it holds. The locations that no path has
+// written since entry all hold one shared register set; each written
+// location holds a small sorted set of its own. The fixpoint sweeps the
+// blocks in reverse postorder and re-runs only those whose entry state
+// changed.
+//
 // The verifier is deliberately independent of the allocators: it reuses
 // only the IR, the CFG builder and the dataflow analyses, and recomputes
 // everything else from the two instruction streams.
@@ -43,9 +51,9 @@ type Options struct{}
 const maxErrors = 8
 
 // Program verifies every function of alloc against its counterpart in
-// orig. orig must be the unallocated program the allocator started from
-// (the front end is deterministic, so compiling the same source twice
-// yields an identical pre-allocation program).
+// orig. orig must be the unallocated program the allocator started from:
+// callers lower the source once, allocate a Clone of the result and pass
+// the program they cloned as orig.
 func Program(orig, alloc *ir.Program, k int, opts Options) error {
 	var errs []error
 	if orig.GlobalWords != alloc.GlobalWords {

@@ -88,6 +88,27 @@ func TestVerifyRandomPrograms(t *testing.T) {
 	}
 }
 
+// TestFactsMatchDense checks the fact dataflow's entry states, shared
+// and written sets solved by the changed-block sweep, against the dense
+// round-robin oracle, block by block and location by location.
+func TestFactsMatchDense(t *testing.T) {
+	seeds := int64(8)
+	if testing.Short() {
+		seeds = 2
+	}
+	for seed := int64(0); seed < seeds; seed++ {
+		src := randprog.Generate(seed, randprog.DefaultConfig())
+		for _, alloc := range []core.Allocator{core.AllocGRA, core.AllocRAP, core.AllocIRC} {
+			for _, k := range []int{3, 5, 7, 9} {
+				orig, allocated := compilePair(t, src, core.Config{Allocator: alloc, K: k})
+				if err := verify.FactsMatchDense(orig, allocated, k); err != nil {
+					t.Errorf("seed %d %s k=%d: %v", seed, alloc, k, err)
+				}
+			}
+		}
+	}
+}
+
 // corrupt applies mutate to the named function of alloc and returns
 // whether it made a change.
 func corrupt(alloc *ir.Program, fn string, mutate func(*ir.Function) bool) bool {
@@ -123,6 +144,9 @@ func TestVerifyFlagsCorruptedColoring(t *testing.T) {
 		})
 		if !flipped {
 			t.Fatalf("%s: no definition found to corrupt", ac)
+		}
+		if err := verify.FactsMatchDense(orig, alloc, k); err != nil {
+			t.Errorf("%s corrupted: %v", ac, err)
 		}
 		err := verify.Program(orig, alloc, k, verify.Options{})
 		if err == nil {
@@ -170,6 +194,9 @@ func TestVerifyFlagsUnbalancedSpill(t *testing.T) {
 		}
 		if !moved {
 			t.Fatalf("%s k=%d: no load/store spill pair found to unbalance", ac, k)
+		}
+		if err := verify.FactsMatchDense(orig, alloc, k); err != nil {
+			t.Errorf("%s unbalanced: %v", ac, err)
 		}
 		if err := verify.Program(orig, alloc, k, verify.Options{}); err == nil {
 			t.Fatalf("%s: unbalanced spill pair not flagged", ac)
