@@ -129,6 +129,19 @@ func BenchmarkAllocRAPSpill(b *testing.B) {
 	}
 }
 
+// BenchmarkAllocIRCSpill runs IRC on BenchmarkAllocRAPSpill's program at
+// k=3, where its rebuild rounds dominate.
+func BenchmarkAllocIRCSpill(b *testing.B) {
+	src := randprog.Generate(78, randprog.Config{MaxFuncs: 3, MaxStmtsPerBlock: 5, MaxDepth: 2, Floats: true})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Compile(src, core.Config{Allocator: core.AllocIRC, K: 3}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkVerify runs the static verifier on BenchmarkAllocRAPSpill's
 // program allocated by RAP at k=3, against the program RAP started from.
 func BenchmarkVerify(b *testing.B) {

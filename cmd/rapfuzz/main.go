@@ -6,6 +6,11 @@
 //
 //	rapfuzz -seeds 200 -timeout 60s
 //
+// Seeds run on GOMAXPROCS workers, taken in ascending order; the report
+// is in seed order. The failure reported is the lowest failing seed among
+// those tested, and "stopped after N seeds" counts the seeds before the
+// first one the budget cut off.
+//
 // Exit status 0 means every case passed; 1 means a failure was found (a
 // reproducer is printed); 2 means a usage error.
 package main
@@ -17,7 +22,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -80,33 +87,26 @@ func run() int {
 	cfg.Metrics = metrics
 
 	start := time.Now()
-	tested := int64(0)
-	for seed := *seedStart; seed < *seedStart+*seeds; seed++ {
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "rapfuzz: seed %d\n", seed)
-		}
-		fail, err := fuzz.RunSeed(ctx, seed, cfg)
-		if err != nil {
-			// Session cancelled or out of budget: a partial clean sweep is
-			// still a pass (CI bounds the job by wall clock, not by seeds).
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				fmt.Fprintf(os.Stderr, "rapfuzz: stopped after %d seeds (%v)\n", tested, err)
-				break
-			}
+	tested, fail, err := sweep(ctx, *seedStart, *seeds, runtime.GOMAXPROCS(0), *verbose,
+		func(ctx context.Context, seed int64) (*fuzz.Failure, error) { return fuzz.RunSeed(ctx, seed, cfg) })
+	if fail != nil {
+		// The trace ID names the failing case the way a serve job
+		// would be named.
+		traceID := fmt.Sprintf("fuzz-%d-%s-k%d", fail.Seed, fail.Allocator, fail.K)
+		fmt.Fprintf(os.Stderr, "rapfuzz: FAILURE: %v\n", fail)
+		fmt.Fprintf(os.Stderr, "trace id: %s\n", traceID)
+		fmt.Fprintf(os.Stderr, "\nreproducer (%d lines):\n%s\n", len(strings.Split(fail.Shrunk, "\n")), fail.Shrunk)
+		fmt.Fprintf(os.Stderr, "\nrerun: rapfuzz -seed-start %d -seeds 1 -ks %d -allocs %s\n", fail.Seed, fail.K, fail.Allocator)
+		return 1
+	}
+	if err != nil {
+		// Session cancelled or out of budget: a partial clean sweep is
+		// still a pass (CI bounds the job by wall clock, not by seeds).
+		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 			fmt.Fprintln(os.Stderr, "rapfuzz:", err)
 			return 2
 		}
-		if fail != nil {
-			// The trace ID names the failing case the way a serve job
-			// would be named.
-			traceID := fmt.Sprintf("fuzz-%d-%s-k%d", fail.Seed, fail.Allocator, fail.K)
-			fmt.Fprintf(os.Stderr, "rapfuzz: FAILURE: %v\n", fail)
-			fmt.Fprintf(os.Stderr, "trace id: %s\n", traceID)
-			fmt.Fprintf(os.Stderr, "\nreproducer (%d lines):\n%s\n", len(strings.Split(fail.Shrunk, "\n")), fail.Shrunk)
-			fmt.Fprintf(os.Stderr, "\nrerun: rapfuzz -seed-start %d -seeds 1 -ks %d -allocs %s\n", fail.Seed, fail.K, fail.Allocator)
-			return 1
-		}
-		tested++
+		fmt.Fprintf(os.Stderr, "rapfuzz: stopped after %d seeds (%v)\n", tested, err)
 	}
 	snap := metrics.Snapshot()
 	fmt.Fprintf(os.Stderr, "rapfuzz: %d seeds clean in %s (%d cases)\n",
@@ -118,4 +118,73 @@ func run() int {
 		}
 	}
 	return 0
+}
+
+// sweep tests seeds start .. start+n-1 with run on workers goroutines,
+// which take seeds in ascending order (with verbose set, each is logged
+// in that order as it starts). A seed that fails or errs stops the
+// workers from taking any higher seed. sweep returns the number of seeds
+// before the first that did not come back clean, the failure of the
+// lowest failing seed, and, when no seed failed, the error of the first
+// seed that returned one.
+func sweep(ctx context.Context, start, n int64, workers int, verbose bool,
+	run func(context.Context, int64) (*fuzz.Failure, error)) (tested int64, fail *fuzz.Failure, err error) {
+	type outcome struct {
+		fail *fuzz.Failure
+		err  error
+	}
+	var (
+		mu   sync.Mutex
+		next = start
+		end  = start + n // no seed at or past end is started
+		// frontier is the lowest seed not known to be clean; done holds
+		// the outcomes of finished seeds above it.
+		frontier = start
+		done     = map[int64]outcome{}
+		wg       sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				mu.Lock()
+				seed := next
+				if seed >= end {
+					mu.Unlock()
+					return
+				}
+				next++
+				if verbose {
+					fmt.Fprintf(os.Stderr, "rapfuzz: seed %d\n", seed)
+				}
+				mu.Unlock()
+				f, e := run(ctx, seed)
+				mu.Lock()
+				done[seed] = outcome{f, e}
+				if (f != nil || e != nil) && seed < end {
+					end = seed
+				}
+				for o, ok := done[frontier]; ok && o.fail == nil && o.err == nil; o, ok = done[frontier] {
+					delete(done, frontier)
+					frontier++
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	var failSeed, errSeed int64
+	for seed, o := range done {
+		if o.fail != nil && (fail == nil || seed < failSeed) {
+			failSeed, fail = seed, o.fail
+		}
+		if o.err != nil && (err == nil || seed < errSeed) {
+			errSeed, err = seed, o.err
+		}
+	}
+	if fail != nil {
+		err = nil
+	}
+	return frontier - start, fail, err
 }

@@ -16,16 +16,9 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+63)/64)}
 }
 
-// NewBatch returns count independent sets, each with capacity n, carved
-// out of one backing allocation (the dataflow analyses allocate tens of
-// thousands of short-lived sets).
-func NewBatch(count, n int) []*Set {
-	var b Batch
-	return b.Carve(count, n)
-}
-
-// Batch is reusable storage for a NewBatch-style array of sets, so an
-// analysis that is recomputed many times can recycle one allocation.
+// Batch is storage for an array of sets carved out of one backing
+// allocation, so an analysis that is recomputed many times can recycle
+// one allocation.
 type Batch struct {
 	words []uint64
 	sets  []Set
@@ -33,7 +26,7 @@ type Batch struct {
 }
 
 // Carve returns count empty sets, each with capacity n, carved out of the
-// batch's storage: the sets NewBatch(count, n) would return. Sets from a
+// batch's storage; the zero Batch carves a fresh allocation. Sets from a
 // previous Carve share that storage and must no longer be used. Storage
 // that must grow grows as append grows it, leaving room for the next
 // Carve.

@@ -95,13 +95,6 @@ func (n *Node) ForEachAdj(f func(*Node)) {
 	n.adj.ForEach(func(id int) { f(n.g.nodes[id]) })
 }
 
-// AdjNodes returns the adjacent nodes in ascending id order.
-func (n *Node) AdjNodes() []*Node {
-	out := make([]*Node, 0, n.Degree())
-	n.ForEachAdj(func(m *Node) { out = append(out, m) })
-	return out
-}
-
 func (n *Node) addReg(r ir.Reg) {
 	if i, ok := slices.BinarySearch(n.Regs, r); !ok {
 		n.Regs = slices.Insert(n.Regs, i, r)

@@ -17,9 +17,12 @@
 package irc
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/cfg"
@@ -31,10 +34,15 @@ import (
 
 // Options configures the allocator.
 type Options struct {
-	// Trace receives phase timings ("irc.phase.*") and counters; nil (the
-	// default) is free.
+	// Trace receives phase timings ("irc.phase.*", one sample per phase
+	// per rebuild round) and counters; nil (the default) is free.
 	Trace *obs.Tracer
 }
+
+// afterBuild, when non-nil, runs after every rebuild round's build. Only
+// TestReusedBuildMatchesFresh sets it, to check the reused allocator
+// against a fresh one.
+var afterBuild func(*allocator)
 
 // Allocate rewrites f to use at most k physical registers under the call
 // ABI, spilling to dedicated frame slots where colouring fails, and
@@ -48,8 +56,9 @@ func Allocate(f *ir.Function, k int, opts Options) error {
 	span := opts.Trace.StartSpan("irc.color")
 	defer span.End()
 	sp := regalloc.NewSpiller(f)
-	pinned := routeThroughABI(f)
-	// One CFG and liveness, recomputed in place by every rebuild round.
+	a := &allocator{f: f, k: k, sp: sp, pins: routeThroughABI(f)}
+	// One CFG, liveness and allocator, reset in place by every rebuild
+	// round.
 	var (
 		g  *cfg.Graph
 		lv *dataflow.Liveness
@@ -63,12 +72,15 @@ func Allocate(f *ir.Function, k int, opts Options) error {
 			return fmt.Errorf("irc: %s: %w", f.Name, err)
 		}
 		lv = dataflow.RecomputeLiveness(lv, g)
-		a, err := build(f, k, sp, pinned, g, lv)
+		err = a.build(g, lv)
 		stopBuild()
 		if err != nil {
 			return fmt.Errorf("irc: %s: %w", f.Name, err)
 		}
-		a.processWorklists(opts.Trace)
+		if afterBuild != nil {
+			afterBuild(a)
+		}
+		a.processWorklists(opts.Trace.Metrics())
 		a.assignColors(opts.Trace)
 		if len(a.spilled) == 0 {
 			if err := a.rewrite(); err != nil {
@@ -108,35 +120,43 @@ func Allocate(f *ir.Function, k int, opts Options) error {
 	return fmt.Errorf("irc: %s: no colouring after %d iterations", f.Name, regalloc.MaxRounds)
 }
 
+// pin is a temporary routeThroughABI pinned to a machine register.
+type pin struct {
+	reg   ir.Reg
+	color int
+}
+
 // routeThroughABI rewrites the virtual code so every value crossing a
 // call boundary travels through a short-lived temporary pinned to
 // RetReg: "call g() => vX" becomes "call g() => t; i2i t => vX" and
 // "ret vY" becomes "i2i vY => t; ret t". The inserted copies are
 // ordinary moves the coalescer eliminates whenever vX / vY can live in
 // RetReg, which is exactly the iterated-coalescing payoff at call sites.
-func routeThroughABI(f *ir.Function) map[ir.Reg]int {
-	pinned := map[ir.Reg]int{}
+// The pins come back in ascending register order, the order NewReg hands
+// the temporaries out in.
+func routeThroughABI(f *ir.Function) []pin {
+	var pins []pin
 	edit := regalloc.NewEdit()
 	for i, in := range f.Instrs {
 		switch in.Op {
 		case ir.OpCall:
 			if in.Dst != ir.None {
 				t := f.NewReg()
-				pinned[t] = int(ir.RetReg)
+				pins = append(pins, pin{t, int(ir.RetReg)})
 				edit.InsertAfter(i, &ir.Instr{Op: ir.OpI2I, Src1: t, Dst: in.Dst, Region: in.Region})
 				in.Dst = t
 			}
 		case ir.OpRet:
 			if in.Src1 != ir.None {
 				t := f.NewReg()
-				pinned[t] = int(ir.RetReg)
+				pins = append(pins, pin{t, int(ir.RetReg)})
 				edit.InsertBefore(i, &ir.Instr{Op: ir.OpI2I, Src1: in.Src1, Dst: t, Region: in.Region})
 				in.Src1 = t
 			}
 		}
 	}
 	edit.Apply(f)
-	return pinned
+	return pins
 }
 
 // Node states.
@@ -166,20 +186,23 @@ const infiniteDegree = math.MaxInt32 / 2
 
 type move struct{ u, v int }
 
-// allocator is one round's worklist state. Node ids 0..k-1 are the
-// machine registers r1..rk (precolored, infinite degree, never
-// simplified or spilled); ids k.. are the virtual registers in sorted
-// order. Virtual registers pinned by routeThroughABI map directly onto
-// the machine node of their color, which makes the precolored handling
-// the textbook one — no separate "forbidden color" machinery.
+// allocator is one function's worklist state, which build resets and
+// refills at every rebuild round, reusing the previous round's storage.
+// Node ids 0..k-1 are the machine registers r1..rk (precolored, infinite
+// degree, never simplified or spilled); ids k.. are the virtual registers
+// in ascending order. Virtual registers pinned by routeThroughABI map
+// directly onto the machine node of their color, which makes the
+// precolored handling the textbook one — no separate "forbidden color"
+// machinery.
 type allocator struct {
-	f  *ir.Function
-	k  int
-	n  int
-	sp *regalloc.Spiller
+	f    *ir.Function
+	k    int
+	n    int
+	sp   *regalloc.Spiller
+	pins []pin
 
-	regOf []ir.Reg       // node id -> register (ir.None for ids < k)
-	idOf  map[ir.Reg]int // register -> node id
+	regOf []ir.Reg // node id -> register (ir.None for ids < k)
+	idOf  []int32  // register -> node id, -1 for a register the body does not reference
 
 	adj     []*bitset.Set // adjacency over node ids (symmetric)
 	adjList [][]int       // maintained for virtual nodes only
@@ -201,74 +224,125 @@ type allocator struct {
 
 	nCoalesced int64
 	scratch    *bitset.Set
+
+	// Storage build carves each round's rows, lists and tables from: the
+	// bitset rows (adj, one row per pin, scratch), the adjacency and move
+	// lists' backing arrays, the move lists' offsets, the reference
+	// counts, and the machine-node marks the list order uses.
+	rows     bitset.Batch
+	adjFlat  []int
+	moveFlat []int
+	moveAt   []int
+	refs     []int32
+	marked   []bool
 }
 
-// build constructs the interference graph for the current body from its
-// CFG and liveness: the classic interference edges (remapped into
-// machine/node id space), caller-save clobber edges at every call, move
-// lists, and the initial worklists.
-func build(f *ir.Function, k int, sp *regalloc.Spiller, pinned map[ir.Reg]int, g *cfg.Graph, lv *dataflow.Liveness) (*allocator, error) {
-	graph := regalloc.BuildInterference(f, g, lv)
+// resize returns s with length n, reusing its array when it is large
+// enough; the contents are not cleared.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
-	a := &allocator{f: f, k: k, sp: sp, idOf: map[ir.Reg]int{}}
-	a.regOf = make([]ir.Reg, k, k+graph.NumNodes())
-	for id := 0; id < k; id++ {
+// build resets a for the current body and fills it from the body's CFG
+// and liveness in node-id space: the interference edges of the shared
+// walk, caller-save clobber edges at every call, the adjacency lists,
+// degrees, move lists, spill costs and the initial worklists.
+func (a *allocator) build(g *cfg.Graph, lv *dataflow.Liveness) error {
+	f, k := a.f, a.k
+
+	// Node ids: every register the body references, in ascending order,
+	// a pinned one taking its machine register's id.
+	a.idOf = resize(a.idOf, int(f.NextReg))
+	for r := range a.idOf {
+		a.idOf[r] = -1
+	}
+	for i := range f.Instrs {
+		for _, u := range g.Uses(i) {
+			a.idOf[u] = 0
+		}
+		if d := g.Def(i); d != ir.None {
+			a.idOf[d] = 0
+		}
+	}
+	a.regOf = resize(a.regOf, k)
+	for id := range a.regOf {
 		a.regOf[id] = ir.None
 	}
-	nodes := graph.Nodes() // sorted by register, so ids are deterministic
-	for _, nd := range nodes {
-		r := nd.Key()
-		if c, ok := pinned[r]; ok {
-			a.idOf[r] = c - 1
+	p := 0
+	for r, id := range a.idOf {
+		if id < 0 {
 			continue
 		}
-		a.idOf[r] = len(a.regOf)
-		a.regOf = append(a.regOf, r)
+		for p < len(a.pins) && a.pins[p].reg < ir.Reg(r) {
+			p++
+		}
+		if p < len(a.pins) && a.pins[p].reg == ir.Reg(r) {
+			a.idOf[r] = int32(a.pins[p].color - 1)
+			continue
+		}
+		a.idOf[r] = int32(len(a.regOf))
+		a.regOf = append(a.regOf, ir.Reg(r))
 	}
-	a.n = len(a.regOf)
-	a.adj = bitset.NewBatch(a.n, a.n)
-	a.adjList = make([][]int, a.n)
-	a.degree = make([]int, a.n)
-	a.where = make([]byte, a.n)
-	a.alias = make([]int, a.n)
-	a.color = make([]int, a.n)
-	a.cost = make([]float64, a.n)
-	a.moveList = make([][]int, a.n)
-	a.scratch = bitset.New(a.n)
-	for id := 0; id < a.n; id++ {
+	n := len(a.regOf)
+	a.n = n
+	rows := a.rows.Carve(n+len(a.pins)+1, n)
+	a.adj = rows[:n:n]
+	// pinAdj[j] holds the virtual nodes adjacent to pin j, which places
+	// the pin's machine node in their adjacency lists.
+	pinAdj := rows[n : n+len(a.pins)]
+	a.scratch = rows[n+len(a.pins)]
+	a.degree = resize(a.degree, n)
+	a.where = resize(a.where, n)
+	a.alias = resize(a.alias, n)
+	a.color = resize(a.color, n)
+	a.cost = resize(a.cost, n)
+	a.adjList = resize(a.adjList, n)
+	a.moveList = resize(a.moveList, n)
+	clear(a.where)
+	clear(a.color)
+	clear(a.cost)
+	for id := 0; id < n; id++ {
 		a.alias[id] = id
+		a.adjList[id] = nil
 		if id < k {
-			a.where[id] = sPrecolored
 			a.degree[id] = infiniteDegree
 			a.color[id] = id + 1
 		}
 	}
+	a.simplifyWL = a.simplifyWL[:0]
+	a.freezeWL = a.freezeWL[:0]
+	a.spillWL = a.spillWL[:0]
+	a.selectStack = a.selectStack[:0]
+	a.coalescedNodes = a.coalescedNodes[:0]
+	a.spilled = a.spilled[:0]
+	a.nCoalesced = 0
 
 	var conflict error
-	addInit := func(u, v int) {
+	regalloc.ForEachInterference(g, lv, func(d, r ir.Reg) {
+		u, v := int(a.idOf[d]), int(a.idOf[r])
 		if u == v {
-			if u < a.k && conflict == nil {
+			// Only two registers pinned to one machine register share
+			// an id.
+			if conflict == nil {
 				conflict = fmt.Errorf("conflicting values pinned to register r%d", u+1)
 			}
 			return
 		}
-		a.addEdge(u, v)
-	}
-	for _, nd := range nodes {
-		u := a.idOf[nd.Key()]
-		for _, ad := range nd.AdjNodes() {
-			addInit(u, a.idOf[ad.Key()])
+		a.adj[u].Add(v)
+		a.adj[v].Add(u)
+		if u < k && v >= k {
+			pinAdj[a.pinIndex(d)].Add(v)
+		} else if v < k && u >= k {
+			pinAdj[a.pinIndex(r)].Add(u)
 		}
+	})
+	if conflict != nil {
+		return conflict
 	}
 	// Caller-save clobbers: everything live across a call interferes with
 	// the caller-save half of the machine file (the call's own result
 	// temp excepted — it IS RetReg). Each block with a call is walked
-	// backward from its live-out set. The order calls are met in does not
-	// matter: a register gains the caller-save nodes it lacks, in
-	// ascending order, at the first call it is live across, and later
-	// calls add nothing to its adjacency list.
+	// backward from its live-out set.
 	nCallerSave := ir.CallerSaveCount(k)
-	live := bitset.New(lv.NumRegs)
+	var live *bitset.Set
 	for b, blk := range g.Blocks {
 		first := blk.End
 		for i := blk.Start; i < blk.End; i++ {
@@ -280,52 +354,110 @@ func build(f *ir.Function, k int, sp *regalloc.Spiller, pinned map[ir.Reg]int, g
 		if first == blk.End {
 			continue
 		}
+		if live == nil {
+			live = bitset.New(lv.NumRegs)
+		}
 		live.Copy(lv.BlockOut(b))
 		for i := blk.End - 1; i >= first; i-- {
 			if in := f.Instrs[i]; in.Op == ir.OpCall {
 				live.ForEach(func(ri int) {
-					r := ir.Reg(ri)
-					if r == in.Dst {
-						return
-					}
-					v, ok := a.idOf[r]
-					if !ok || v < a.k {
-						return
-					}
-					for c := 0; c < nCallerSave; c++ {
-						addInit(c, v)
+					if v := int(a.idOf[ri]); v >= k && ir.Reg(ri) != in.Dst {
+						for c := 0; c < nCallerSave; c++ {
+							a.adj[c].Add(v)
+							a.adj[v].Add(c)
+						}
 					}
 				})
 			}
 			lv.Step(live, i)
 		}
 	}
-	if conflict != nil {
-		return nil, conflict
+
+	// Adjacency lists, in the order simplification depends on: the
+	// neighbours in ascending register order, a pinned register standing
+	// for its machine node at its own position (once, at the first such
+	// register), then the caller-save machine nodes the clobbers added,
+	// ascending. The lists are carved from one array, each with no spare
+	// capacity, so an edge coalescing adds moves its list elsewhere.
+	total := 0
+	for id := k; id < n; id++ {
+		a.degree[id] = a.adj[id].Len()
+		total += a.degree[id]
+	}
+	a.adjFlat = resize(a.adjFlat, total)
+	a.marked = resize(a.marked, k)
+	clear(a.marked)
+	off := 0
+	for u := k; u < n; u++ {
+		list := a.adjFlat[off : off : off+a.degree[u]]
+		off += a.degree[u]
+		j := 0
+		pinsBefore := func(r ir.Reg) {
+			for ; j < len(a.pins) && a.pins[j].reg < r; j++ {
+				if c := a.pins[j].color - 1; pinAdj[j].Has(u) && !a.marked[c] {
+					a.marked[c] = true
+					list = append(list, c)
+				}
+			}
+		}
+		a.adj[u].ForEach(func(v int) {
+			if v >= k {
+				pinsBefore(a.regOf[v])
+				list = append(list, v)
+			}
+		})
+		pinsBefore(f.NextReg)
+		for c := 0; c < k; c++ {
+			if a.adj[u].Has(c) && !a.marked[c] {
+				list = append(list, c)
+			}
+		}
+		for _, t := range list {
+			if t < k {
+				a.marked[t] = false
+			}
+		}
+		a.adjList[u] = list
 	}
 
-	// Moves.
+	// Moves, and each node's moves in ascending order, carved from one
+	// array like the adjacency lists.
+	a.moves = a.moves[:0]
 	for _, in := range f.Instrs {
 		if in.Op != ir.OpI2I || in.Src1 == in.Dst || in.Src1 == ir.None || in.Dst == ir.None {
 			continue
 		}
-		u, v := a.idOf[in.Dst], a.idOf[in.Src1]
-		if u == v {
-			continue
+		if u, v := int(a.idOf[in.Dst]), int(a.idOf[in.Src1]); u != v {
+			a.moves = append(a.moves, move{u, v})
 		}
-		mi := len(a.moves)
-		a.moves = append(a.moves, move{u, v})
-		a.moveState = append(a.moveState, mWorklist)
+	}
+	a.moveAt = resize(a.moveAt, n+1)
+	clear(a.moveAt)
+	for _, m := range a.moves {
+		a.moveAt[m.u+1]++
+		a.moveAt[m.v+1]++
+	}
+	for id := 0; id < n; id++ {
+		a.moveAt[id+1] += a.moveAt[id]
+	}
+	a.moveFlat = resize(a.moveFlat, 2*len(a.moves))
+	for id := 0; id < n; id++ {
+		a.moveList[id] = a.moveFlat[a.moveAt[id]:a.moveAt[id]:a.moveAt[id+1]]
+	}
+	a.moveState = resize(a.moveState, len(a.moves))
+	a.worklistMoves = a.worklistMoves[:0]
+	for mi, m := range a.moves {
+		a.moveState[mi] = mWorklist
 		a.worklistMoves = append(a.worklistMoves, mi)
-		a.moveList[u] = append(a.moveList[u], mi)
-		a.moveList[v] = append(a.moveList[v], mi)
+		a.moveList[m.u] = append(a.moveList[m.u], mi)
+		a.moveList[m.v] = append(a.moveList[m.v], mi)
 	}
 
 	// Chaitin spill costs, shared with the other backends.
-	refs := f.RefCounts(nil)
-	for id := a.k; id < a.n; id++ {
+	a.refs = f.RefCounts(a.refs)
+	for id := k; id < n; id++ {
 		r := a.regOf[id]
-		if sp.IsTemp(r) {
+		if a.sp.IsTemp(r) {
 			a.cost[id] = math.Inf(1)
 			continue
 		}
@@ -333,13 +465,13 @@ func build(f *ir.Function, k int, sp *regalloc.Spiller, pinned map[ir.Reg]int, g
 		if d == 0 {
 			d = 1
 		}
-		a.cost[id] = float64(refs[r]) / float64(d)
+		a.cost[id] = float64(a.refs[r]) / float64(d)
 	}
 
 	// Initial worklists.
-	for id := a.k; id < a.n; id++ {
+	for id := k; id < n; id++ {
 		switch {
-		case a.degree[id] >= a.k:
+		case a.degree[id] >= k:
 			a.push(&a.spillWL, id, sSpill)
 		case a.moveRelated(id):
 			a.push(&a.freezeWL, id, sFreeze)
@@ -347,7 +479,13 @@ func build(f *ir.Function, k int, sp *regalloc.Spiller, pinned map[ir.Reg]int, g
 			a.push(&a.simplifyWL, id, sSimplify)
 		}
 	}
-	return a, nil
+	return nil
+}
+
+// pinIndex returns the index of pinned register r in a.pins.
+func (a *allocator) pinIndex(r ir.Reg) int {
+	j, _ := slices.BinarySearchFunc(a.pins, r, func(p pin, r ir.Reg) int { return cmp.Compare(p.reg, r) })
+	return j
 }
 
 // addEdge inserts an undirected edge, maintaining adjacency lists and
@@ -456,28 +594,47 @@ func (a *allocator) decrementDegree(id int) {
 	}
 }
 
-// processWorklists runs the George–Appel main loop to exhaustion.
-func (a *allocator) processWorklists(tr *obs.Tracer) {
+// worklistPhases names the steps of the main loop, in processWorklists'
+// priority order, as their timers.
+var worklistPhases = [...]string{"irc.phase.simplify", "irc.phase.coalesce", "irc.phase.freeze", "irc.phase.spillselect"}
+
+// processWorklists runs the George–Appel main loop to exhaustion. Under
+// metrics it sums each phase's time over the round and records one
+// sample per phase that ran.
+func (a *allocator) processWorklists(m *obs.Metrics) {
+	var (
+		spent [len(worklistPhases)]time.Duration
+		ran   [len(worklistPhases)]bool
+		start time.Time
+	)
 	for {
+		if m != nil {
+			start = time.Now()
+		}
+		var phase int
 		switch {
 		case len(a.simplifyWL) > 0:
-			stop := tr.StartTimer("irc.phase.simplify")
 			a.simplify()
-			stop()
 		case len(a.worklistMoves) > 0:
-			stop := tr.StartTimer("irc.phase.coalesce")
+			phase = 1
 			a.coalesce()
-			stop()
 		case len(a.freezeWL) > 0:
-			stop := tr.StartTimer("irc.phase.freeze")
+			phase = 2
 			a.freeze()
-			stop()
 		case len(a.spillWL) > 0:
-			stop := tr.StartTimer("irc.phase.spillselect")
+			phase = 3
 			a.selectSpill()
-			stop()
 		default:
+			for p, name := range worklistPhases {
+				if ran[p] {
+					m.ObserveDur(name, spent[p])
+				}
+			}
 			return
+		}
+		if m != nil {
+			spent[phase] += time.Since(start)
+			ran[phase] = true
 		}
 	}
 }
@@ -715,12 +872,11 @@ func (a *allocator) rewrite() error {
 	var missing []ir.Reg
 	for _, in := range a.f.Instrs {
 		in.RewriteRegs(func(r ir.Reg) ir.Reg {
-			id, ok := a.idOf[r]
-			if !ok {
+			if int(r) >= len(a.idOf) || a.idOf[r] < 0 {
 				missing = append(missing, r)
 				return r
 			}
-			c := a.color[a.getAlias(id)]
+			c := a.color[a.getAlias(int(a.idOf[r]))]
 			if c == 0 {
 				missing = append(missing, r)
 				return r

@@ -1,6 +1,6 @@
-// Package regalloc provides machinery shared by the GRA (Chaitin/Briggs)
-// and RAP allocators: whole-function interference construction, spill slot
-// management, code rewriting, and post-allocation validation.
+// Package regalloc provides machinery shared by the GRA (Chaitin/Briggs),
+// RAP and IRC allocators: the whole-function interference rule, spill
+// slot management, code rewriting, and post-allocation validation.
 package regalloc
 
 import (
@@ -13,39 +13,45 @@ import (
 	"repro/internal/ir"
 )
 
-// BuildInterference constructs the classic whole-function interference
-// graph: at every definition point the defined register interferes with
-// everything live out of the instruction, except that a copy's destination
+// ForEachInterference walks the blocks of g's function backward, each
+// from its live-out set with one running set, and calls edge(d, r) for
+// every interference: at every definition d, each register r live out of
+// the instruction other than d itself, except that a copy's destination
 // does not interfere with its source (Chaitin's rule; with first-fit
 // colouring this is what lets copies collapse onto one register, the
-// effect §4 of the paper highlights). Each block is walked backward from
-// its live-out set with one running set; the graph's nodes are made
-// first and its rows are bitsets, so the order edges arrive in does not
-// matter.
-func BuildInterference(f *ir.Function, g *cfg.Graph, lv *dataflow.Liveness) *ig.Graph {
-	graph := ig.New()
-	// Every referenced register gets a node even if it never interferes.
-	for _, r := range f.VRegs() {
-		graph.Ensure(r)
-	}
+// effect §4 of the paper highlights). A pair can be reported more than
+// once, and in no useful order.
+func ForEachInterference(g *cfg.Graph, lv *dataflow.Liveness, edge func(d, r ir.Reg)) {
 	live := bitset.New(lv.NumRegs)
 	for b, blk := range g.Blocks {
 		live.Copy(lv.BlockOut(b))
 		for i := blk.End - 1; i >= blk.Start; i-- {
 			if d := g.Def(i); d != ir.None {
 				copySrc := ir.None
-				if in := f.Instrs[i]; in.IsCopy() {
+				if in := g.F.Instrs[i]; in.IsCopy() {
 					copySrc = in.Src1
 				}
 				live.ForEach(func(ri int) {
 					if r := ir.Reg(ri); r != d && r != copySrc {
-						graph.AddEdge(d, r)
+						edge(d, r)
 					}
 				})
 			}
 			lv.Step(live, i)
 		}
 	}
+}
+
+// BuildInterference constructs the classic whole-function interference
+// graph, the one GRA colours: a node per referenced register and the
+// edges of ForEachInterference. The nodes are made first and the rows
+// are bitsets, so the order edges arrive in does not matter.
+func BuildInterference(f *ir.Function, g *cfg.Graph, lv *dataflow.Liveness) *ig.Graph {
+	graph := ig.New()
+	for _, r := range f.VRegs() {
+		graph.Ensure(r)
+	}
+	ForEachInterference(g, lv, graph.AddEdge)
 	return graph
 }
 

@@ -138,7 +138,7 @@ func ReferenceLiveness(g *cfg.Graph) *Liveness {
 	f := g.F
 	n := len(f.Instrs)
 	numRegs := int(f.NextReg)
-	sets := bitset.NewBatch(2*n, numRegs)
+	sets := new(bitset.Batch).Carve(2*n, numRegs)
 	lv := &Liveness{LiveIn: sets[:n], LiveOut: sets[n:], NumRegs: numRegs}
 	uses := make([][]ir.Reg, n)
 	defs := make([]ir.Reg, n)
@@ -147,7 +147,7 @@ func ReferenceLiveness(g *cfg.Graph) *Liveness {
 		defs[i] = in.Def()
 	}
 	nb := len(g.Blocks)
-	bsets := bitset.NewBatch(4*nb+1, numRegs)
+	bsets := new(bitset.Batch).Carve(4*nb+1, numRegs)
 	ueVar, kill := bsets[:nb], bsets[nb:2*nb]
 	blockIn, blockOut := bsets[2*nb:3*nb], bsets[3*nb:4*nb]
 	tmp := bsets[4*nb]

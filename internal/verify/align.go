@@ -33,27 +33,40 @@ type copyEvent struct {
 }
 
 // alignment is the instruction-by-instruction correspondence between the
-// original and allocated bodies of one function.
+// original and allocated bodies of one function. Its per-instruction
+// tables are int32s carved from one allocation; the few copy events sit
+// in two flat lists.
 type alignment struct {
 	// origAnchorOf[i] is the orig index matched with alloc instruction i,
 	// or -1 for inserted spill/copy code.
-	origAnchorOf []int
+	origAnchorOf []int32
 	// closingOrig[i] is, for inserted code at alloc index i, the orig
 	// index of the next matched anchor (len(orig.Instrs) when the code
 	// sits after the last anchor). It names the original program point
 	// the inserted instruction executes "just before", which picks the
 	// liveness set the interference check uses. closingAlloc[i] is the
 	// alloc index of that same anchor (len(alloc.Instrs) past the last).
-	closingOrig  []int
-	closingAlloc []int
-	// preEvents[i] are original copy events applied immediately before
-	// alloc instruction i's transfer; postEvents[i] immediately after.
-	// Events that would land at the start of a label's block are
-	// re-attached to the end of the preceding block instead, because in
-	// the original layout the copy executes before the label — on the
-	// fall-through edge only, not on every edge into the label.
-	preEvents, postEvents [][]copyEvent
+	closingOrig  []int32
+	closingAlloc []int32
+	// The original copy events applied immediately before alloc
+	// instruction i's transfer are pre[preAt[i]:preAt[i+1]], those
+	// applied immediately after it post[postAt[i]:postAt[i+1]] (read
+	// them through preEvents and postEvents). Events that would land at
+	// the start of a label's block are re-attached to the end of the
+	// preceding block instead, because in the original layout the copy
+	// executes before the label — on the fall-through edge only, not on
+	// every edge into the label.
+	preAt, postAt []int32
+	pre, post     []copyEvent
 }
+
+// preEvents returns the original copy events applied immediately before
+// alloc instruction i's transfer.
+func (al *alignment) preEvents(i int) []copyEvent { return al.pre[al.preAt[i]:al.preAt[i+1]] }
+
+// postEvents returns the original copy events applied immediately after
+// alloc instruction i's transfer.
+func (al *alignment) postEvents(i int) []copyEvent { return al.post[al.postAt[i]:al.postAt[i+1]] }
 
 // buildAlignment matches the anchors of orig and alloc pairwise and
 // attaches orig copy events to alloc positions.
@@ -74,12 +87,14 @@ func buildAlignment(orig, alloc *ir.Function) (*alignment, error) {
 	if len(oa) != len(aa) {
 		return nil, fmt.Errorf("%s: anchor count mismatch: original has %d, allocated %d (an allocator inserted or deleted a non-spill instruction)", orig.Name, len(oa), len(aa))
 	}
+	n := len(alloc.Instrs)
+	tab := make([]int32, 5*n+2)
 	al := &alignment{
-		origAnchorOf: make([]int, len(alloc.Instrs)),
-		closingOrig:  make([]int, len(alloc.Instrs)),
-		closingAlloc: make([]int, len(alloc.Instrs)),
-		preEvents:    make([][]copyEvent, len(alloc.Instrs)),
-		postEvents:   make([][]copyEvent, len(alloc.Instrs)),
+		origAnchorOf: tab[:n:n],
+		closingOrig:  tab[n : 2*n : 2*n],
+		closingAlloc: tab[2*n : 3*n : 3*n],
+		preAt:        tab[3*n : 4*n+1 : 4*n+1],
+		postAt:       tab[4*n+1:],
 	}
 	for i := range al.origAnchorOf {
 		al.origAnchorOf[i] = -1
@@ -90,7 +105,7 @@ func buildAlignment(orig, alloc *ir.Function) (*alignment, error) {
 			return nil, fmt.Errorf("%s: anchor %d: original instr %d (%s) vs allocated instr %d (%s): %w",
 				orig.Name, j, oa[j], o, aa[j], a, err)
 		}
-		al.origAnchorOf[aa[j]] = oa[j]
+		al.origAnchorOf[aa[j]] = int32(oa[j])
 	}
 	// closingOrig: alloc indices strictly between anchors j-1 and j close
 	// at orig anchor j; indices after the last anchor close at the end.
@@ -100,18 +115,20 @@ func buildAlignment(orig, alloc *ir.Function) (*alignment, error) {
 			next++
 		}
 		if next < len(aa) {
-			al.closingOrig[i] = oa[next]
-			al.closingAlloc[i] = aa[next]
+			al.closingOrig[i] = int32(oa[next])
+			al.closingAlloc[i] = int32(aa[next])
 		} else {
-			al.closingOrig[i] = len(orig.Instrs)
-			al.closingAlloc[i] = len(alloc.Instrs)
+			al.closingOrig[i] = int32(len(orig.Instrs))
+			al.closingAlloc[i] = int32(n)
 		}
 	}
 	// Attach orig copy events to the gap they fall in. Events in the gap
 	// before orig anchor j apply just before alloc anchor aa[j] — after
 	// any spill/copy code the allocator put in the same gap (copy events
 	// commute with inserted spill code: both only move values between
-	// locations already holding them).
+	// locations already holding them). The gaps come in ascending order,
+	// so each list is appended in the order of the alloc index its
+	// events attach to, and counting them there makes the offsets.
 	gap := 0
 	for _, in := range orig.Instrs {
 		if isAnchor(in.Op) {
@@ -126,10 +143,16 @@ func buildAlignment(orig, alloc *ir.Function) (*alignment, error) {
 		}
 		ca := aa[gap]
 		if alloc.Instrs[ca].Op == ir.OpLabel && ca > 0 {
-			al.postEvents[ca-1] = append(al.postEvents[ca-1], ev)
+			al.post = append(al.post, ev)
+			al.postAt[ca]++ // one more event after alloc instruction ca-1
 		} else {
-			al.preEvents[ca] = append(al.preEvents[ca], ev)
+			al.pre = append(al.pre, ev)
+			al.preAt[ca+1]++
 		}
+	}
+	for i := 0; i < n; i++ {
+		al.preAt[i+1] += al.preAt[i]
+		al.postAt[i+1] += al.postAt[i]
 	}
 	return al, nil
 }

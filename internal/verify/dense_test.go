@@ -20,7 +20,7 @@ type denseState struct {
 }
 
 func fullDense(nLocs, nRegs int) *denseState {
-	st := &denseState{locs: bitset.NewBatch(nLocs, nRegs)}
+	st := &denseState{locs: new(bitset.Batch).Carve(nLocs, nRegs)}
 	for _, s := range st.locs {
 		s.Fill(nRegs)
 	}
@@ -60,7 +60,7 @@ func (st *denseState) applyCopyEvent(ev copyEvent) {
 // step applies the transfer of alloc instruction i, as factFlow.step does
 // without checking.
 func (st *denseState) step(d *factFlow, i int) {
-	for _, ev := range d.al.preEvents[i] {
+	for _, ev := range d.al.preEvents(i) {
 		st.applyCopyEvent(ev)
 	}
 	in := d.v.alloc.Instrs[i]
@@ -90,7 +90,7 @@ func (st *denseState) step(d *factFlow, i int) {
 			dst.Add(int(do))
 		}
 	}
-	for _, ev := range d.al.postEvents[i] {
+	for _, ev := range d.al.postEvents(i) {
 		st.applyCopyEvent(ev)
 	}
 }
@@ -189,7 +189,7 @@ func factsMatchDense(orig, alloc *ir.Function, k int) error {
 
 // dense returns st as a denseState.
 func (st *factState) dense(nRegs int) *denseState {
-	out := &denseState{locs: bitset.NewBatch(len(st.written), nRegs)}
+	out := &denseState{locs: new(bitset.Batch).Carve(len(st.written), nRegs)}
 	for loc, set := range out.locs {
 		if !st.written[loc] {
 			set.Copy(&st.shared)

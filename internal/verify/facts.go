@@ -258,9 +258,9 @@ func (d *factFlow) locOfSlot(s int64) int { return d.v.k + int(s) }
 // the point is past the last anchor (unreachable layout tail).
 func (d *factFlow) liveAt(i int) *bitset.Set {
 	if oi := d.al.origAnchorOf[i]; oi >= 0 {
-		return d.olive.LiveOut(oi)
+		return d.olive.LiveOut(int(oi))
 	}
-	if co := d.al.closingOrig[i]; co < d.nOrig {
+	if co := int(d.al.closingOrig[i]); co < d.nOrig {
 		return d.olive.LiveIn(co)
 	}
 	return nil
@@ -270,7 +270,7 @@ func (d *factFlow) liveAt(i int) *bitset.Set {
 // copy events) to st. With check set it also runs the use and
 // interference checks, reporting through the verifier.
 func (d *factFlow) step(st *factState, i int, check bool) {
-	for _, ev := range d.al.preEvents[i] {
+	for _, ev := range d.al.preEvents(i) {
 		st.applyCopyEvent(ev)
 	}
 	in := d.v.alloc.Instrs[i]
@@ -321,7 +321,7 @@ func (d *factFlow) step(st *factState, i int, check bool) {
 			st.setOnly(dst, do)
 		}
 	}
-	for _, ev := range d.al.postEvents[i] {
+	for _, ev := range d.al.postEvents(i) {
 		st.applyCopyEvent(ev)
 	}
 }
@@ -355,17 +355,17 @@ func (d *factFlow) checkUses(st *factState, i int, o, a *ir.Instr) {
 // events — so a pending destination's "live" bit refers to the value the
 // copy is about to create, not the dead one still sitting in a location.
 func (d *factFlow) pendingCopyDst(i int, y int) bool {
-	ca := d.al.closingAlloc[i]
-	if ca >= len(d.al.preEvents) {
+	ca := int(d.al.closingAlloc[i])
+	if ca >= len(d.al.origAnchorOf) {
 		return false
 	}
-	for _, ev := range d.al.preEvents[ca] {
+	for _, ev := range d.al.preEvents(ca) {
 		if int(ev.dst) == y {
 			return true
 		}
 	}
 	if ca > 0 {
-		for _, ev := range d.al.postEvents[ca-1] {
+		for _, ev := range d.al.postEvents(ca - 1) {
 			if int(ev.dst) == y {
 				return true
 			}
