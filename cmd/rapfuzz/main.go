@@ -6,10 +6,11 @@
 //
 //	rapfuzz -seeds 200 -timeout 60s
 //
-// Seeds run on GOMAXPROCS workers, taken in ascending order; the report
-// is in seed order. The failure reported is the lowest failing seed among
-// those tested, and "stopped after N seeds" counts the seeds before the
-// first one the budget cut off.
+// Seeds run on GOMAXPROCS workers (fuzz.Sweep), taken in ascending
+// order. With -v each seed is logged as a worker starts it, so lines of
+// concurrent workers may trade places. The failure reported is the lowest
+// failing seed among those tested, and "stopped after N seeds" counts the
+// seeds before the first one the budget cut off.
 //
 // Exit status 0 means every case passed; 1 means a failure was found (a
 // reproducer is printed); 2 means a usage error.
@@ -120,71 +121,37 @@ func run() int {
 	return 0
 }
 
-// sweep tests seeds start .. start+n-1 with run on workers goroutines,
-// which take seeds in ascending order (with verbose set, each is logged
-// in that order as it starts). A seed that fails or errs stops the
-// workers from taking any higher seed. sweep returns the number of seeds
-// before the first that did not come back clean, the failure of the
-// lowest failing seed, and, when no seed failed, the error of the first
+// sweep tests seeds start .. start+n-1 with run through fuzz.Sweep on
+// workers goroutines, which take seeds in ascending order (with verbose
+// set, each is logged as a worker starts it). A seed that fails or errs
+// stops the workers taking any higher seed. sweep returns the number of
+// seeds before the first that did not come back clean, the failure of the
+// lowest failing seed, and, when no seed failed, the error of the lowest
 // seed that returned one.
 func sweep(ctx context.Context, start, n int64, workers int, verbose bool,
 	run func(context.Context, int64) (*fuzz.Failure, error)) (tested int64, fail *fuzz.Failure, err error) {
-	type outcome struct {
-		fail *fuzz.Failure
-		err  error
-	}
 	var (
-		mu   sync.Mutex
-		next = start
-		end  = start + n // no seed at or past end is started
-		// frontier is the lowest seed not known to be clean; done holds
-		// the outcomes of finished seeds above it.
-		frontier = start
-		done     = map[int64]outcome{}
-		wg       sync.WaitGroup
+		mu                sync.Mutex
+		failSeed, errSeed int64
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				seed := next
-				if seed >= end {
-					mu.Unlock()
-					return
-				}
-				next++
-				if verbose {
-					fmt.Fprintf(os.Stderr, "rapfuzz: seed %d\n", seed)
-				}
-				mu.Unlock()
-				f, e := run(ctx, seed)
-				mu.Lock()
-				done[seed] = outcome{f, e}
-				if (f != nil || e != nil) && seed < end {
-					end = seed
-				}
-				for o, ok := done[frontier]; ok && o.fail == nil && o.err == nil; o, ok = done[frontier] {
-					delete(done, frontier)
-					frontier++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	var failSeed, errSeed int64
-	for seed, o := range done {
-		if o.fail != nil && (fail == nil || seed < failSeed) {
-			failSeed, fail = seed, o.fail
+	tested = fuzz.Sweep(n, workers, func(i int64) bool {
+		seed := start + i
+		if verbose {
+			fmt.Fprintf(os.Stderr, "rapfuzz: seed %d\n", seed)
 		}
-		if o.err != nil && (err == nil || seed < errSeed) {
-			errSeed, err = seed, o.err
+		f, e := run(ctx, seed)
+		mu.Lock()
+		defer mu.Unlock()
+		if f != nil && (fail == nil || seed < failSeed) {
+			failSeed, fail = seed, f
 		}
-	}
+		if e != nil && (err == nil || seed < errSeed) {
+			errSeed, err = seed, e
+		}
+		return f == nil && e == nil
+	})
 	if fail != nil {
 		err = nil
 	}
-	return frontier - start, fail, err
+	return tested, fail, err
 }

@@ -119,10 +119,13 @@ func Table1Context(ctx context.Context, ks []int, cfg core.CompareConfig, only .
 
 // Measure runs the comparison over an arbitrary program set (Programs()
 // for the paper's table, append ExtraPrograms() for the extended suite).
-// With cfg.Parallel > 1 the independent (program, k) units fan out over a
-// bounded worker pool; rows are re-assembled in program-major order and
-// worker metrics merge back at the join, so the result — rows, Table 1
-// text, and metrics snapshot — is identical to the sequential run's.
+// The independent (program, k) units run through fuzz.Sweep on
+// cfg.Parallel workers, which take them in program-major order; rows are
+// re-assembled in that order and every unit records into cfg.Trace's one
+// registry, whose counters and histograms are sums, so the result — rows,
+// Table 1 text, and the deterministic metrics snapshot — is identical to
+// the sequential run's. The error returned is the lowest failing unit's,
+// and no higher unit starts once a unit has failed.
 func Measure(progs []Program, ks []int, cfg core.CompareConfig, only ...string) ([]Row, error) {
 	return measure(context.Background(), progs, ks, cfg, nil, only...)
 }
@@ -187,75 +190,33 @@ func measure(ctx context.Context, progs []Program, ks []int, cfg core.CompareCon
 	nu := len(sel) * len(ks)
 	results := make([][]core.Measurement, nu)
 	errs := make([]error, nu)
-	// run executes unit u = (program u/len(ks), k u%len(ks)) with the
-	// given tracer. Units write only their own results/errs slot; the
-	// metrics registry and the reference table serialize internally.
-	run := func(u int, tr *obs.Tracer) {
-		pi, ki := u/len(ks), u%len(ks)
+	// Unit u = (program u/len(ks), k u%len(ks)) writes only its own
+	// results/errs slot; the metrics registry and the reference table
+	// serialize internally.
+	done := fuzz.Sweep(int64(nu), cfg.Parallel, func(u int64) bool {
+		pi, ki := int(u)/len(ks), int(u)%len(ks)
 		prog, k := sel[pi], ks[ki]
-		if err := ctx.Err(); err != nil {
-			errs[u] = err
-			return
+		if errs[u] = ctx.Err(); errs[u] != nil {
+			return false
 		}
 		pcfg := cfg
 		pcfg.Funcs = prog.Funcs
-		pcfg.Trace = tr
 		start := time.Now()
 		ref, err := getRef(pi, pcfg)
+		if err == nil {
+			results[u], err = compareUnit(ctx, k, pcfg, ref)
+		}
 		if err != nil {
 			errs[u] = fmt.Errorf("%s: %w", prog.Name, err)
-			return
+			return false
 		}
-		ms, err := compareUnit(ctx, k, pcfg, ref)
-		if err != nil {
-			errs[u] = fmt.Errorf("%s: %w", prog.Name, err)
-			return
-		}
-		results[u] = ms
 		if m != nil {
 			m.Observe(fmt.Sprintf("bench.%s.k%d", prog.Name, k), time.Since(start))
 		}
-	}
-
-	if cfg.Parallel > 1 && nu > 1 {
-		sem := make(chan struct{}, cfg.Parallel)
-		workers := make([]*obs.Tracer, nu)
-		var wg sync.WaitGroup
-		for u := 0; u < nu; u++ {
-			tr := cfg.Trace.Fork()
-			workers[u] = tr
-			wg.Add(1)
-			go func(u int, tr *obs.Tracer) {
-				defer wg.Done()
-				// Acquire a pool slot or give up on cancellation so a
-				// cancelled suite drains instead of churning through
-				// every queued unit.
-				select {
-				case sem <- struct{}{}:
-				case <-ctx.Done():
-					errs[u] = ctx.Err()
-					return
-				}
-				defer func() { <-sem }()
-				run(u, tr)
-			}(u, tr)
-		}
-		wg.Wait()
-		for _, w := range workers {
-			cfg.Trace.Join(w)
-		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for u := 0; u < nu; u++ {
-			run(u, cfg.Trace)
-			if errs[u] != nil {
-				return nil, errs[u]
-			}
-		}
+		return true
+	})
+	if done < int64(nu) {
+		return nil, errs[done]
 	}
 
 	var rows []Row

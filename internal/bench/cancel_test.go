@@ -1,10 +1,10 @@
 package bench_test
 
 // Cancellation contract: a cancelled context stops pending and in-flight
-// (program, k) units — including workers still waiting for a pool slot —
-// and the harness goroutines all unwind. This pins the fuzz-surfaced
-// hang where queued units kept churning after Ctrl-C because the
-// semaphore acquisition did not watch ctx.
+// (program, k) units — the next unit a worker takes fails on ctx, and no
+// higher unit starts after it — and the harness goroutines all unwind.
+// This pins the fuzz-surfaced hang where queued units kept churning after
+// Ctrl-C.
 
 import (
 	"context"
@@ -28,8 +28,8 @@ func TestMeasureContextCanceled(t *testing.T) {
 		t.Fatalf("pre-cancelled measure error = %v, want context.Canceled", err)
 	}
 
-	// Cancel mid-run: with one pool slot most units are still queued on
-	// the semaphore when the cancel lands, exercising the slot-wait path.
+	// Cancel mid-run: with one worker most units have not started when
+	// the cancel lands, so the sweep stops at the next unit it takes.
 	ctx, cancel = context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -235,6 +236,55 @@ func RunIsolated(ctx context.Context, timeout time.Duration, unit func(context.C
 		}
 		return cctx.Err()
 	}
+}
+
+// Sweep runs unit(0) .. unit(n-1) on workers goroutines (at least one,
+// at most n), which take indices in ascending order. A unit that returns false stops
+// the workers taking any higher index; units already running finish.
+// Sweep returns the number of indices before the lowest one whose unit
+// returned false, n if none did: every unit below that index ran and
+// returned true. It is the dispatch shared by the Table 1 harness and
+// rapfuzz; one worker runs the units in order and stops at the first
+// false.
+func Sweep(n int64, workers int, unit func(i int64) bool) int64 {
+	if n < 0 {
+		n = 0
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	if int64(workers) > n {
+		workers = int(n)
+	}
+	var (
+		mu   sync.Mutex
+		next int64
+		end  = n // no index at or past end is taken
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				mu.Lock()
+				i := next
+				if i >= end {
+					mu.Unlock()
+					return
+				}
+				next++
+				mu.Unlock()
+				if !unit(i) {
+					mu.Lock()
+					end = min(end, i)
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return end
 }
 
 // checkAlloc is the differential check for one (allocator, k) unit:

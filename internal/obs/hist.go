@@ -8,11 +8,11 @@ import (
 // histBuckets is the fixed bucket count every Histogram uses. Bucket b
 // holds samples v with bits.Len64(v) == b, i.e. the half-open value
 // range [2^(b-1), 2^b); bucket 0 holds v <= 0. Fixed log2-scaled bucket
-// boundaries make histograms deterministic — two runs observing the
-// same multiset of values produce byte-identical snapshots regardless
-// of observation order or worker count — and make Merge a plain
-// element-wise addition, which is associative and commutative like the
-// counter sums the Fork/Join harness already relies on.
+// boundaries make histograms deterministic: a histogram is a sum of
+// per-sample bucket increments, like a counter, so two runs observing
+// the same multiset of values produce byte-identical snapshots whatever
+// the observation order, and workers sharing one registry record the
+// same histogram a sequential run does.
 const histBuckets = 64
 
 // Histogram accumulates int64 samples into fixed log2 buckets. The
@@ -78,18 +78,6 @@ func (h *Histogram) snapshot() HistSnapshot {
 	return s
 }
 
-// merge adds a snapshot back into the live histogram (the Join half of
-// the Fork/Join pattern).
-func (h *Histogram) merge(s HistSnapshot) {
-	h.count += s.Count
-	h.sum += s.Sum
-	for i, c := range s.Buckets {
-		if i < histBuckets {
-			h.buckets[i] += c
-		}
-	}
-}
-
 // HistSnapshot is the stable serialized form of a Histogram: total
 // sample count, sum, and per-bucket counts (trailing zero buckets
 // trimmed). Bucket i covers values [2^(i-1), 2^i); bucket 0 covers
@@ -99,26 +87,6 @@ type HistSnapshot struct {
 	Count   int64   `json:"count"`
 	Sum     int64   `json:"sum"`
 	Buckets []int64 `json:"buckets,omitempty"`
-}
-
-// Merge returns the element-wise sum of s and o — the distribution of
-// the union of both sample multisets. Merge is associative and
-// commutative, so any join order over any worker partition yields the
-// same snapshot.
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	n := len(s.Buckets)
-	if len(o.Buckets) > n {
-		n = len(o.Buckets)
-	}
-	out := HistSnapshot{Count: s.Count + o.Count, Sum: s.Sum + o.Sum}
-	if n > 0 {
-		out.Buckets = make([]int64, n)
-		copy(out.Buckets, s.Buckets)
-		for i, c := range o.Buckets {
-			out.Buckets[i] += c
-		}
-	}
-	return out
 }
 
 // Check validates the snapshot's internal consistency: bucket counts

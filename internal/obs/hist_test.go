@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -24,44 +25,34 @@ func randomHist(rng *rand.Rand) HistSnapshot {
 	return h.snapshot()
 }
 
-// TestHistMergeAssociativeCommutative is the property test the
-// Fork/Join determinism story rests on: any merge order over any
-// partition of the samples yields the same snapshot.
-func TestHistMergeAssociativeCommutative(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		a, b, c := randomHist(rng), randomHist(rng), randomHist(rng)
-		if ab, ba := a.Merge(b), b.Merge(a); !reflect.DeepEqual(ab, ba) {
-			t.Fatalf("trial %d: merge not commutative:\na+b %+v\nb+a %+v", trial, ab, ba)
-		}
-		left := a.Merge(b).Merge(c)
-		right := a.Merge(b.Merge(c))
-		if !reflect.DeepEqual(left, right) {
-			t.Fatalf("trial %d: merge not associative:\n(a+b)+c %+v\na+(b+c) %+v", trial, left, right)
-		}
-		if !left.Check() {
-			t.Fatalf("trial %d: merged snapshot fails Check: %+v", trial, left)
-		}
-	}
-}
-
-// TestHistMergeMatchesSequential: observing the concatenated sample
-// stream in one histogram equals merging per-partition histograms.
-func TestHistMergeMatchesSequential(t *testing.T) {
+// TestHistSharedRegistryMatchesSequential is the property the shared
+// registry's determinism rests on: samples observed from several
+// goroutines into one registry, in whatever interleaving, yield the
+// snapshot one goroutine observing them in order does.
+func TestHistSharedRegistryMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var all Histogram
-	var parts [4]Histogram
-	for i := 0; i < 1000; i++ {
-		v := rng.Int63n(1 << 30)
-		all.Observe(v)
-		parts[i%4].Observe(v)
+	vals := make([]int64, 1000)
+	for i := range vals {
+		vals[i] = rng.Int63n(1 << 30)
 	}
-	merged := parts[0].snapshot()
-	for i := 1; i < 4; i++ {
-		merged = merged.Merge(parts[i].snapshot())
+	seq, shared := NewMetrics(), NewMetrics()
+	for _, v := range vals {
+		seq.ObserveVal("h", v)
 	}
-	if want := all.snapshot(); !reflect.DeepEqual(merged, want) {
-		t.Fatalf("merged partitions != sequential:\nmerged %+v\nwant   %+v", merged, want)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := len(vals) - 1 - w; i >= 0; i -= 4 {
+				shared.ObserveVal("h", vals[i])
+			}
+		}()
+	}
+	wg.Wait()
+	got, want := shared.Snapshot().Hists["h"], seq.Snapshot().Hists["h"]
+	if !reflect.DeepEqual(got, want) || !got.Check() {
+		t.Fatalf("shared registry != sequential:\nshared %+v\nwant   %+v", got, want)
 	}
 }
 
@@ -151,28 +142,28 @@ func TestBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2Sections: gauges merge by max, hists by bucket
-// addition, and Deterministic strips exactly the wall-clock sections.
+// TestSnapshotV2Sections: a gauge holds the last value set, value
+// histograms count every sample, and Deterministic strips exactly the
+// wall-clock sections.
 func TestSnapshotV2Sections(t *testing.T) {
-	a, b := NewMetrics(), NewMetrics()
+	a := NewMetrics()
+	a.SetGauge("serve.inflight", 5)
 	a.SetGauge("serve.inflight", 3)
-	b.SetGauge("serve.inflight", 5)
-	b.SetGauge("serve.workers", 2)
+	a.SetGauge("serve.workers", 2)
 	a.ObserveVal("rap.region.iters", 1)
-	b.ObserveVal("rap.region.iters", 4)
+	a.ObserveVal("rap.region.iters", 4)
 	a.ObserveDur("rap.phase.cost", 1000)
-	a.Merge(b)
 
 	s := a.Snapshot()
 	if s.Schema != SnapshotSchema {
 		t.Errorf("schema = %q", s.Schema)
 	}
-	if s.Gauges["serve.inflight"] != 5 || s.Gauges["serve.workers"] != 2 {
-		t.Errorf("gauges after merge = %v", s.Gauges)
+	if s.Gauges["serve.inflight"] != 3 || s.Gauges["serve.workers"] != 2 {
+		t.Errorf("gauges = %v", s.Gauges)
 	}
 	hs := s.Hists["rap.region.iters"]
 	if hs.Count != 2 || hs.Sum != 5 || !hs.Check() {
-		t.Errorf("merged value hist = %+v", hs)
+		t.Errorf("value hist = %+v", hs)
 	}
 	if _, ok := s.TimeHistsNS["rap.phase.cost"]; !ok {
 		t.Error("ObserveDur did not create a duration histogram")

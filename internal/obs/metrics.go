@@ -70,9 +70,10 @@ func (m *Metrics) Observe(phase string, d time.Duration) {
 }
 
 // SetGauge sets gauge name to v, a point-in-time level (queue depth,
-// in-flight jobs, worker count). Merge keeps the maximum across
-// registries, which is associative and commutative, so gauges survive
-// the Fork/Join path as high-water marks.
+// in-flight jobs, worker count). A gauge holds the last value set, so
+// only its owner sets it: the serve runner and the fleet router, each on
+// its own registry. Work recorded from many goroutines goes to counters
+// and histograms, whose sums do not depend on the order of the calls.
 func (m *Metrics) SetGauge(name string, v int64) {
 	if m == nil {
 		return
@@ -116,49 +117,6 @@ func (m *Metrics) ObserveDur(phase string, d time.Duration) {
 	}
 	h.Observe(d.Nanoseconds())
 	m.mu.Unlock()
-}
-
-// Merge folds every section of other into m — the join half of the
-// per-worker-registry pattern the parallel harness uses (each worker
-// accumulates into a private registry, merged back in deterministic
-// order at the join). Counters, timings and histogram buckets add;
-// gauges keep the maximum. Every per-section operation is associative
-// and commutative, so the merged registry is identical to one the same
-// work had written sequentially.
-func (m *Metrics) Merge(other *Metrics) {
-	if m == nil || other == nil || m == other {
-		return
-	}
-	s := other.Snapshot()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for k, v := range s.Counters {
-		m.counters[k] += v
-	}
-	for k, v := range s.TimingsNS {
-		m.timings[k] += time.Duration(v)
-	}
-	for k, v := range s.Gauges {
-		if cur, ok := m.gauges[k]; !ok || v > cur {
-			m.gauges[k] = v
-		}
-	}
-	for k, hs := range s.Hists {
-		h := m.hists[k]
-		if h == nil {
-			h = &Histogram{}
-			m.hists[k] = h
-		}
-		h.merge(hs)
-	}
-	for k, hs := range s.TimeHistsNS {
-		h := m.timeHists[k]
-		if h == nil {
-			h = &Histogram{}
-			m.timeHists[k] = h
-		}
-		h.merge(hs)
-	}
 }
 
 // Snapshot is a point-in-time copy of the registry in its stable JSON

@@ -68,9 +68,8 @@ func (t *Tracer) Metrics() *Metrics {
 }
 
 // WithTag returns a tracer that stamps every emitted event with the
-// given trace ID (the serve runner tags each job's forked tracer with
-// the job ID, so JSONL trace lines and slow-job logs can be joined on
-// it). Sinks and the metrics registry are shared with t; an empty id
+// given trace ID (the serve runner tags each job's tracer with the job
+// ID, so JSONL trace lines and slow-job logs can be joined on it). Sinks and the metrics registry are shared with t; an empty id
 // returns t unchanged, and a nil tracer stays nil — tagging a no-op
 // tracer is still a no-op.
 func (t *Tracer) WithTag(id string) *Tracer {
@@ -86,30 +85,6 @@ func (t *Tracer) Tag() string {
 		return ""
 	}
 	return t.tag
-}
-
-// Fork returns the tracer one worker of a parallel phase should use:
-// the same sinks (they serialize internally), but a private metrics
-// registry so workers do not contend on one mutex and the parent's
-// registry only ever sees whole-worker contributions. Join merges the
-// fork back. A tracer without a registry (or nil) forks to itself —
-// sharing is already safe and there is nothing to merge.
-func (t *Tracer) Fork() *Tracer {
-	if t == nil || t.m == nil {
-		return t
-	}
-	return &Tracer{sinks: t.sinks, m: NewMetrics(), tag: t.tag}
-}
-
-// Join merges a Fork'ed worker tracer's metrics back into t. Joining
-// workers in deterministic order after all have finished yields a
-// registry identical to the sequential run's (counter addition
-// commutes).
-func (t *Tracer) Join(w *Tracer) {
-	if t == nil || w == nil || w == t {
-		return
-	}
-	t.m.Merge(w.m)
 }
 
 // Enabled reports whether a sink is attached: Emit delivers only to

@@ -41,8 +41,8 @@ func TestTaggedEventWireFormat(t *testing.T) {
 	}
 }
 
-// TestTracerWithTag: sinks see tagged events, forks inherit the tag,
-// and every tagged-event line carries the ID.
+// TestTracerWithTag: sinks see tagged events, and every tagged-event
+// line carries the ID.
 func TestTracerWithTag(t *testing.T) {
 	var jsonl bytes.Buffer
 	col := &Collector{}
@@ -68,11 +68,6 @@ func TestTracerWithTag(t *testing.T) {
 		if !strings.Contains(line, `"trace_id":"job-9"`) {
 			t.Errorf("JSONL line missing trace id: %s", line)
 		}
-	}
-
-	fork := tr.Fork()
-	if fork.Tag() != "job-9" {
-		t.Errorf("fork lost the tag: %q", fork.Tag())
 	}
 
 	// Tagging a nil or untagged-equal tracer is identity-ish and safe.

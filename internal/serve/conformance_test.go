@@ -26,10 +26,10 @@ type reply struct {
 
 // TestHTTPConformance runs one table of requests against a Server over
 // a Runner and a Server over a fleet Router in front of that Runner's
-// Server. Both fronts run with NewServer's default limits, and every
-// case must get the same status code from both; where the case is an
-// error, the same body too, apart from a job result's wall-clock
-// duration_ms.
+// Server. Both fronts enforce the same limits (MaxBatchJobs,
+// MaxRequestBytes), and every case must get the same status code from
+// both; where the case is an error, the same body too, apart from a job
+// result's wall-clock duration_ms.
 func TestHTTPConformance(t *testing.T) {
 	runner := newTestRunner(t, serve.RunnerConfig{Workers: 2})
 	worker := serve.NewServer(runner)
@@ -52,8 +52,8 @@ func TestHTTPConformance(t *testing.T) {
 	backends := []struct{ name, url string }{{"runner", workerHTTP.URL}, {"router", routerHTTP.URL}}
 
 	job := fmt.Sprintf(`{"source":%q,"allocator":"rap","k":5}`, goodSrc)
-	overMaxBatch := `{"jobs":[{}` + strings.Repeat(`,{}`, worker.MaxBatch) + `]}`
-	hugeSource := fmt.Sprintf(`{"source":"%s"}`, strings.Repeat("x", int(worker.MaxBodyBytes)))
+	overMaxBatch := `{"jobs":[{}` + strings.Repeat(`,{}`, serve.MaxBatchJobs) + `]}`
+	hugeSource := fmt.Sprintf(`{"source":"%s"}`, strings.Repeat("x", serve.MaxRequestBytes))
 	// Sources that would overflow a worker's stack or exhaust its memory
 	// without the front end's bounds.
 	const deep = 100_000

@@ -37,9 +37,22 @@ type errorBody struct {
 // span and slow-job line, so one ID follows a request end to end.
 const TraceHeader = "X-Rap-Trace-Id"
 
-// MaxRequestBytes bounds one request: an HTTP body (the Server's
-// default MaxBodyBytes) or one line of RunJSONL input.
+// MaxRequestBytes bounds one request: an HTTP body or one line of
+// RunJSONL input. A larger HTTP body answers 413 instead of letting one
+// huge POST pin the process's memory.
 const MaxRequestBytes = 8 << 20
+
+// MaxBatchJobs bounds the jobs of one batch request: a hard parse
+// ceiling in front of the backend's admission control.
+const MaxBatchJobs = 1024
+
+const (
+	// readTimeout bounds reading one request, headers and body, so a
+	// slow-loris body cannot hold a connection open longer.
+	readTimeout = time.Minute
+	// idleTimeout reaps idle keep-alive connections.
+	idleTimeout = 2 * time.Minute
+)
 
 // Backend is what a Server serves: one worker's *Runner, or a fleet
 // router in front of many workers. A Server answers the same way over
@@ -70,39 +83,21 @@ type Backend interface {
 type Server struct {
 	backend Backend
 	hs      *http.Server
-	// MaxBatch bounds jobs per request (default 1024): a hard parse
-	// ceiling in front of the backend's admission control.
-	MaxBatch int
-	// MaxBodyBytes bounds every request body (default MaxRequestBytes).
-	// Overflow answers 413 instead of letting one huge POST pin the
-	// process's memory.
-	MaxBodyBytes int64
-	// ReadTimeout bounds reading one request, headers and body (default
-	// 1 minute — a slow-loris body cannot hold a connection open longer).
-	ReadTimeout time.Duration
-	// WriteTimeout bounds handling + writing one response. Over a
-	// Runner the default scales with its shape: a full queue of
+	// writeTimeout bounds handling + writing one response. Over a
+	// Runner it scales with the runner's shape: a full queue of
 	// worst-case jobs ahead of a batch, plus slack — JobTimeout ×
 	// (QueueDepth/Workers+2) — so the ceiling fires on wedged
-	// connections, not on honest load. Over any other backend the
-	// default is 0 (none): a fleet router bounds each forward with its
-	// own RequestTimeout.
-	WriteTimeout time.Duration
-	// IdleTimeout reaps idle keep-alive connections (default 2 minutes).
-	IdleTimeout time.Duration
+	// connections, not on honest load. Over any other backend it is 0
+	// (none): a fleet router bounds each forward with its own
+	// RequestTimeout.
+	writeTimeout time.Duration
 }
 
 // NewServer wraps b with the service endpoints.
 func NewServer(b Backend) *Server {
-	s := &Server{
-		backend:      b,
-		MaxBatch:     1024,
-		MaxBodyBytes: MaxRequestBytes,
-		ReadTimeout:  time.Minute,
-		IdleTimeout:  2 * time.Minute,
-	}
+	s := &Server{backend: b}
 	if r, ok := b.(*Runner); ok {
-		s.WriteTimeout = r.cfg.JobTimeout * time.Duration(r.cfg.QueueDepth/r.cfg.Workers+2)
+		s.writeTimeout = r.cfg.JobTimeout * time.Duration(r.cfg.QueueDepth/r.cfg.Workers+2)
 	}
 	return s
 }
@@ -143,9 +138,9 @@ func (s *Server) ListenAndServe(addr string, ready func(net.Addr)) error {
 	s.hs = &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       s.ReadTimeout,
-		WriteTimeout:      s.WriteTimeout,
-		IdleTimeout:       s.IdleTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      s.writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	if err := s.hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 		return err
@@ -189,17 +184,16 @@ func writeError(w http.ResponseWriter, code int, status string, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error(), Status: status})
 }
 
-// decodeBody strictly decodes a JSON request body into v under the
-// server's size bound, answering 400 on malformed JSON and 413 when the
-// body overflows MaxBodyBytes. It reports whether the caller may
-// proceed.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.MaxBodyBytes)
+// decodeBody strictly decodes a JSON request body into v under
+// MaxRequestBytes, answering 400 on malformed JSON and 413 when the
+// body overflows the bound. It reports whether the caller may proceed.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
 	if err := decodeStrict(r.Body, v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, http.StatusRequestEntityTooLarge, StatusInvalid,
-				fmt.Errorf("%s body exceeds %d bytes", what, s.MaxBodyBytes))
+				fmt.Errorf("%s body exceeds %d bytes", what, MaxRequestBytes))
 			return false
 		}
 		writeError(w, http.StatusBadRequest, StatusInvalid, fmt.Errorf("bad %s body: %w", what, err))
@@ -219,15 +213,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if !s.decodeBody(w, r, "batch", &req) {
+	if !decodeBody(w, r, "batch", &req) {
 		return
 	}
 	if len(req.Jobs) == 0 {
 		writeError(w, http.StatusBadRequest, StatusInvalid, errors.New("batch has no jobs"))
 		return
 	}
-	if len(req.Jobs) > s.MaxBatch {
-		writeError(w, http.StatusBadRequest, StatusInvalid, fmt.Errorf("batch of %d exceeds limit %d", len(req.Jobs), s.MaxBatch))
+	if len(req.Jobs) > MaxBatchJobs {
+		writeError(w, http.StatusBadRequest, StatusInvalid, fmt.Errorf("batch of %d exceeds limit %d", len(req.Jobs), MaxBatchJobs))
 		return
 	}
 	// A trace ID in the request header seeds every job that did not
@@ -263,7 +257,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var job Job
-	if !s.decodeBody(w, r, "job", &job) {
+	if !decodeBody(w, r, "job", &job) {
 		return
 	}
 	if job.ID == "" {

@@ -266,32 +266,28 @@ func TestBatchRequestLimits(t *testing.T) {
 		defer cancel()
 		runner.Drain(ctx)
 	})
-	s := serve.NewServer(runner)
-	s.MaxBatch = 2
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(serve.NewServer(runner).Handler())
 	defer ts.Close()
 
 	resp, _ := postJSON(t, ts.URL+"/v1/batch", serve.BatchRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty batch = %d, want 400", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, ts.URL+"/v1/batch", serve.BatchRequest{Jobs: make([]serve.Job, 3)})
+	resp, _ = postJSON(t, ts.URL+"/v1/batch", serve.BatchRequest{Jobs: make([]serve.Job, serve.MaxBatchJobs+1)})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized batch = %d, want 400", resp.StatusCode)
 	}
 }
 
 // TestServerBodyLimit413 is the regression test for the unbounded-body
-// bug: requests past MaxBodyBytes answer 413 with a decodable error
+// bug: requests past MaxRequestBytes answer 413 with a decodable error
 // body on both job endpoints.
 func TestServerBodyLimit413(t *testing.T) {
 	r := newTestRunner(t, serve.RunnerConfig{Workers: 1})
-	srv := serve.NewServer(r)
-	srv.MaxBodyBytes = 2048
-	front := httptest.NewServer(srv.Handler())
+	front := httptest.NewServer(serve.NewServer(r).Handler())
 	defer front.Close()
 
-	huge := serve.Job{ID: "big", Source: "int main() { return 0; } //" + strings.Repeat("x", 8192), Allocator: "rap", K: 5}
+	huge := serve.Job{ID: "big", Source: "int main() { return 0; } //" + strings.Repeat("x", serve.MaxRequestBytes), Allocator: "rap", K: 5}
 	for _, ep := range []struct {
 		path string
 		body any

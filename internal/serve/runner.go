@@ -354,20 +354,19 @@ func (r *Runner) execute(ctx context.Context, job Job, autoID bool) Result {
 	if job.MaxCycles == 0 || job.MaxCycles > r.cfg.MaxCycles {
 		job.MaxCycles = r.cfg.MaxCycles
 	}
-	// Each job compiles under a forked tracer (private metrics registry,
-	// shared sinks) merged back at the join, so concurrent jobs do not
-	// contend on one mutex and the registry only sees whole-job
-	// contributions. The fork carries the job ID as its trace tag, so
-	// every span/event the pipeline emits lands in the sinks stamped
-	// with the ID the caller can correlate against.
-	tr := r.cfg.Tracer.Fork().WithTag(job.ID)
+	// Concurrent jobs record into the runner's one registry; the
+	// pipeline's metrics are all sums, so the registry's deterministic
+	// sections do not depend on how jobs interleave. The job's tracer
+	// carries its ID as the trace tag, so every span/event the pipeline
+	// emits lands in the sinks stamped with the ID the caller can
+	// correlate against.
+	tr := r.cfg.Tracer.WithTag(job.ID)
 	var outcome *Outcome
 	err := fuzz.RunIsolated(ctx, timeout, func(cctx context.Context) error {
 		var uerr error
 		outcome, uerr = ExecuteJob(cctx, job, ExecOptions{Tracer: tr})
 		return uerr
 	})
-	r.cfg.Tracer.Join(tr)
 	if err != nil {
 		status := Classify(err)
 		return finish(Result{ID: job.ID, Status: status, Error: err.Error()})
@@ -453,7 +452,7 @@ func (r *Runner) HealthBody() any { return r.Health() }
 
 // MetricsSnapshot is the runner's /metrics reply: the serve.*
 // counters, gauges and latency histograms, every pipeline metric the
-// jobs' forked tracers merged back (rap.*, gra.*, interp.*, …) and the
+// jobs recorded (rap.*, gra.*, interp.*, …) and the
 // persistent store's traffic (store.*) when one is attached. The
 // point-in-time gauges (queue depth, in-flight jobs, worker utilization
 // as a 0–100 percentage) are refreshed first.

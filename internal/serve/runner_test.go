@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
+	"repro/internal/randprog"
 	"repro/internal/serve"
 )
 
@@ -501,5 +504,54 @@ func TestRunnerMetricKeysBoundedByFunctionNames(t *testing.T) {
 	if len(changed) > 0 {
 		sort.Strings(changed)
 		t.Errorf("metric keys changed between job 1 and job 50 (%d of %d after job 1): %v", len(changed), len(first), changed)
+	}
+}
+
+// TestRunnerMetricsMatchAcrossWorkers: jobs record into the runner's one
+// registry from every worker, and its deterministic sections depend only
+// on the work done. The same distinct randprog jobs, verified and run
+// under GRA, RAP and IRC, leave equal counters and value histograms with
+// one worker and with four. The gauges differ by construction
+// (serve.workers, serve.queue.capacity) and are left out.
+func TestRunnerMetricsMatchAcrossWorkers(t *testing.T) {
+	allocs := []string{"gra", "rap", "irc"}
+	jobs := make([]serve.Job, 24)
+	for i := range jobs {
+		jobs[i] = serve.Job{
+			ID:        fmt.Sprintf("w-%d", i),
+			Source:    randprog.Generate(int64(i), randprog.DefaultConfig()),
+			Allocator: allocs[i%len(allocs)],
+			K:         3 + i%5,
+			Verify:    true,
+		}
+	}
+	snapshot := func(workers int) obs.Snapshot {
+		r := newTestRunner(t, serve.RunnerConfig{Workers: workers, QueueDepth: len(jobs)})
+		results, err := r.DoBatch(context.Background(), jobs)
+		if err != nil {
+			t.Fatalf("%d workers: DoBatch: %v", workers, err)
+		}
+		for i, res := range results {
+			if res.Status != serve.StatusOK || res.Cached {
+				t.Fatalf("%d workers: job %s: status %q (%s), cached %v; want a fresh ok",
+					workers, jobs[i].ID, res.Status, res.Error, res.Cached)
+			}
+		}
+		return r.Metrics().Snapshot().Deterministic()
+	}
+	one, four := snapshot(1), snapshot(4)
+	if !reflect.DeepEqual(one.Counters, four.Counters) {
+		t.Errorf("counters differ:\n1 worker:  %v\n4 workers: %v", one.Counters, four.Counters)
+	}
+	if !reflect.DeepEqual(one.Hists, four.Hists) {
+		t.Errorf("value histograms differ:\n1 worker:  %v\n4 workers: %v", one.Hists, four.Hists)
+	}
+	for _, name := range []string{"gra.spill_rounds", "rap.spill_rounds", "irc.funcs_allocated", "serve.jobs.ok"} {
+		if one.Counters[name] == 0 {
+			t.Errorf("%s is 0: the comparison is vacuous", name)
+		}
+	}
+	if len(one.Hists) == 0 {
+		t.Error("no value histograms recorded: the comparison is vacuous")
 	}
 }

@@ -71,17 +71,21 @@ func (al *alignment) postEvents(i int) []copyEvent { return al.post[al.postAt[i]
 // buildAlignment matches the anchors of orig and alloc pairwise and
 // attaches orig copy events to alloc positions.
 func buildAlignment(orig, alloc *ir.Function) (*alignment, error) {
-	var oa, aa []int // anchor indices
+	// The anchor indices of orig (oa) and alloc (aa), carved from one
+	// allocation their instruction counts bound.
+	no := len(orig.Instrs)
+	idx := make([]int32, no+len(alloc.Instrs))
+	oa, aa := idx[:0:no], idx[no:no]
 	for i, in := range orig.Instrs {
 		if isAnchor(in.Op) {
-			oa = append(oa, i)
+			oa = append(oa, int32(i))
 		} else if in.Op != ir.OpI2I {
 			return nil, fmt.Errorf("%s: original instr %d (%s) is spill code", orig.Name, i, in)
 		}
 	}
 	for i, in := range alloc.Instrs {
 		if isAnchor(in.Op) {
-			aa = append(aa, i)
+			aa = append(aa, int32(i))
 		}
 	}
 	if len(oa) != len(aa) {
@@ -105,20 +109,20 @@ func buildAlignment(orig, alloc *ir.Function) (*alignment, error) {
 			return nil, fmt.Errorf("%s: anchor %d: original instr %d (%s) vs allocated instr %d (%s): %w",
 				orig.Name, j, oa[j], o, aa[j], a, err)
 		}
-		al.origAnchorOf[aa[j]] = int32(oa[j])
+		al.origAnchorOf[aa[j]] = oa[j]
 	}
 	// closingOrig: alloc indices strictly between anchors j-1 and j close
 	// at orig anchor j; indices after the last anchor close at the end.
 	next := 0
 	for i := range alloc.Instrs {
-		for next < len(aa) && aa[next] < i {
+		for next < len(aa) && int(aa[next]) < i {
 			next++
 		}
 		if next < len(aa) {
-			al.closingOrig[i] = int32(oa[next])
-			al.closingAlloc[i] = int32(aa[next])
+			al.closingOrig[i] = oa[next]
+			al.closingAlloc[i] = aa[next]
 		} else {
-			al.closingOrig[i] = int32(len(orig.Instrs))
+			al.closingOrig[i] = int32(no)
 			al.closingAlloc[i] = int32(n)
 		}
 	}
