@@ -129,6 +129,19 @@ func BenchmarkAllocRAPSpill(b *testing.B) {
 	}
 }
 
+// BenchmarkAllocGRASpill runs GRA on BenchmarkAllocRAPSpill's program at
+// k=3, where its rebuild rounds dominate.
+func BenchmarkAllocGRASpill(b *testing.B) {
+	src := randprog.Generate(78, randprog.Config{MaxFuncs: 3, MaxStmtsPerBlock: 5, MaxDepth: 2, Floats: true})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Compile(src, core.Config{Allocator: core.AllocGRA, K: 3}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAllocIRCSpill runs IRC on BenchmarkAllocRAPSpill's program at
 // k=3, where its rebuild rounds dominate.
 func BenchmarkAllocIRCSpill(b *testing.B) {

@@ -23,6 +23,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/dataflow"
+	"repro/internal/ig"
 	"repro/internal/ir"
 	"repro/internal/lower"
 	"repro/internal/obs"
@@ -113,7 +114,8 @@ func main() {
 				fatal(err)
 			}
 			lv := dataflow.ComputeLiveness(g)
-			graph := regalloc.BuildInterference(f, g, lv)
+			graph := ig.New()
+			regalloc.BuildInterference(graph, f, g, lv)
 			if *format == "dot" {
 				fmt.Print(graph.DOT(f.Name))
 			} else {

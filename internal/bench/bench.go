@@ -120,12 +120,15 @@ func Table1Context(ctx context.Context, ks []int, cfg core.CompareConfig, only .
 // Measure runs the comparison over an arbitrary program set (Programs()
 // for the paper's table, append ExtraPrograms() for the extended suite).
 // The independent (program, k) units run through fuzz.Sweep on
-// cfg.Parallel workers, which take them in program-major order; rows are
-// re-assembled in that order and every unit records into cfg.Trace's one
-// registry, whose counters and histograms are sums, so the result — rows,
-// Table 1 text, and the deterministic metrics snapshot — is identical to
-// the sequential run's. The error returned is the lowest failing unit's,
-// and no higher unit starts once a unit has failed.
+// cfg.Parallel workers, which take them k-major: every program at the
+// first k, then every program at the next, so workers that start together
+// work on different programs instead of waiting on one program's shared
+// reference. Rows are assembled program-major, and every unit records
+// into cfg.Trace's one registry, whose counters and histograms are sums,
+// so the result — rows, Table 1 text, and the deterministic metrics
+// snapshot — is identical to the sequential run's. The error returned is
+// the lowest failing unit's in k-major order, and no higher unit starts
+// once a unit has failed.
 func Measure(progs []Program, ks []int, cfg core.CompareConfig, only ...string) ([]Row, error) {
 	return measure(context.Background(), progs, ks, cfg, nil, only...)
 }
@@ -190,11 +193,12 @@ func measure(ctx context.Context, progs []Program, ks []int, cfg core.CompareCon
 	nu := len(sel) * len(ks)
 	results := make([][]core.Measurement, nu)
 	errs := make([]error, nu)
-	// Unit u = (program u/len(ks), k u%len(ks)) writes only its own
-	// results/errs slot; the metrics registry and the reference table
-	// serialize internally.
+	// Unit u = (program u%len(sel), k u/len(sel)) writes only its own
+	// results slot, indexed program-major, and its errs slot, indexed by
+	// unit; the metrics registry and the reference table serialize
+	// internally.
 	done := fuzz.Sweep(int64(nu), cfg.Parallel, func(u int64) bool {
-		pi, ki := int(u)/len(ks), int(u)%len(ks)
+		pi, ki := int(u)%len(sel), int(u)/len(sel)
 		prog, k := sel[pi], ks[ki]
 		if errs[u] = ctx.Err(); errs[u] != nil {
 			return false
@@ -204,7 +208,7 @@ func measure(ctx context.Context, progs []Program, ks []int, cfg core.CompareCon
 		start := time.Now()
 		ref, err := getRef(pi, pcfg)
 		if err == nil {
-			results[u], err = compareUnit(ctx, k, pcfg, ref)
+			results[pi*len(ks)+ki], err = compareUnit(ctx, k, pcfg, ref)
 		}
 		if err != nil {
 			errs[u] = fmt.Errorf("%s: %w", prog.Name, err)

@@ -1,5 +1,5 @@
 package ig
 
-// TableMin exposes the node count up to which a graph without a Table
-// searches its member lists.
-const TableMin = tableMin
+// IndexMin exposes the node count up to which a graph without a
+// register index searches its member lists.
+const IndexMin = indexMin

@@ -7,22 +7,28 @@
 //
 // The graph is a dense arena: nodes carry stable integer ids assigned in
 // creation order, adjacency is one bitset row per node (indexed by
-// neighbour id), and the hot operations — edge insertion, Clone, Merge,
-// Combine and the simplify/select colouring — are slice-and-bitset work
-// with no maps. The Fig. 2 loop (build → colour → spill → combine) runs
-// once per PDG region, so this representation is the hottest code in
-// the pipeline.
+// neighbour id), and the hot operations — edge insertion, Merge, Combine
+// and the simplify/select colouring — are slice-and-bitset work with no
+// maps. The Fig. 2 loop (build → colour → spill → combine) runs once per
+// PDG region, and GRA rebuilds its whole-function graph after every
+// spill round, so this representation is the hottest code in the
+// pipeline.
+//
+// A graph is reusable: Reset empties it but keeps its storage — the node
+// structs with their member lists and adjacency rows (handed out again
+// by id), the register index and Color's scratch arrays — so an
+// allocator that builds one graph per round or per region and keeps one
+// Graph allocates nothing once the graph has grown to its largest size.
 //
 // Registers are found without a map either. A small graph (RAP's
 // combined summaries have at most k nodes) searches its nodes' sorted
-// member lists; a larger one indexes its registers in a Table, a slice
-// indexed by register number. A caller that builds many graphs in turn
-// keeps one Table and builds each graph on it (NewOn), so no graph
-// allocates an index of its own.
+// member lists; once a graph has more than indexMin nodes it indexes its
+// registers in a slice indexed by register number, and keeps that index
+// through Reset.
 //
 // Invariants: an adjacency row only ever holds ids of live nodes (Merge
-// and Remove scrub the dying node's id from every neighbour's row before
-// freeing its slot), and a graph's Table maps exactly its members to
+// scrubs the dying node's id from every neighbour's row before freeing
+// its slot), and an indexed graph's index maps exactly its members to
 // their nodes.
 package ig
 
@@ -101,83 +107,69 @@ func (n *Node) addReg(r ir.Reg) {
 	}
 }
 
-// Graph is an interference graph.
+// Graph is an interference graph. The zero Graph is empty and ready to
+// use.
 type Graph struct {
-	// nodes is the arena, indexed by node id; slots of merged or removed
-	// nodes are nil and ids are never reused within one graph's lifetime.
+	// nodes is the arena, indexed by node id; slots of merged nodes are
+	// nil, and ids are not reused until Reset.
 	nodes []*Node
 	live  int
-	// tab indexes the members by register; nil while the graph looks
-	// registers up by searching its nodes.
-	tab *Table
+	// store holds a node struct for every id the graph has handed out
+	// since it was made; newNode takes store[id] for a node of id id,
+	// reusing its member list and adjacency row.
+	store []*Node
+	// byReg indexes the members by register (byReg[r] is r's node, nil
+	// for registers outside the graph) once indexed is set; until then
+	// the graph looks registers up by searching its nodes.
+	byReg   []*Node
+	indexed bool
+
+	// Color's scratch, reused by every call.
+	degree          []int32
+	removed         []bool
+	stack           []*Node
+	trivial, spillH nodeHeap
+	globalColors    []bool
+	used            []int32
 }
 
-// tableMin is the node count up to which a graph without a Table
-// searches its nodes' member lists instead of building one.
-const tableMin = 16
+// indexMin is the node count up to which a graph that has no register
+// index searches its nodes' member lists instead of building one.
+const indexMin = 16
 
-// Table maps registers to the nodes of one graph at a time: byReg[r] is
-// the node containing r, nil for registers outside the graph. A graph
-// built on a Table with NewOn uses it until a later graph is built on
-// it; the earlier graph then falls back to searching its nodes, or to a
-// Table of its own once it has more than tableMin nodes. The zero Table
-// is empty and ready to use.
-type Table struct {
-	byReg []*Node
-	owner *Graph
-}
-
-// set records r's node, growing the table to cover r. The table's
-// length is always its capacity, so a grown tail is all nil.
-func (t *Table) set(r ir.Reg, n *Node) {
-	if int(r) >= len(t.byReg) {
-		t.byReg = slices.Grow(t.byReg, int(r)+1-len(t.byReg))
-		t.byReg = t.byReg[:cap(t.byReg)]
-	}
-	t.byReg[r] = n
-}
-
-// New returns an empty graph. It indexes its registers in a Table of its
-// own once it has more than tableMin nodes.
+// New returns an empty graph.
 func New() *Graph { return &Graph{} }
 
-// NewOn returns an empty graph that indexes its registers in t, taking t
-// over from the graph built on it before.
-func NewOn(t *Table) *Graph {
-	g := &Graph{}
-	g.attach(t)
-	return g
-}
-
-// attach makes t g's table: t's previous graph loses it, and t indexes
-// g's members.
-func (g *Graph) attach(t *Table) {
-	if prev := t.owner; prev != nil && prev != g {
-		for _, n := range prev.nodes {
+// Reset empties g for a new build. It keeps g's storage: node structs,
+// their member lists and adjacency rows, the register index and Color's
+// scratch. Nodes taken from g before the call must not be used after
+// it.
+func (g *Graph) Reset() {
+	if g.indexed {
+		for _, n := range g.nodes {
 			if n != nil {
 				for _, r := range n.Regs {
-					t.byReg[r] = nil
+					g.byReg[r] = nil
 				}
 			}
 		}
-		prev.tab = nil
 	}
-	t.owner = g
-	g.tab = t
-	for _, n := range g.nodes {
-		if n != nil {
-			for _, r := range n.Regs {
-				t.set(r, n)
-			}
-		}
-	}
+	g.nodes = g.nodes[:0]
+	g.live = 0
 }
 
-// index records n as r's node in the graph's table, if it has one.
+// index records n as r's node, if g keeps an index, growing the index
+// to cover r. The index's length is always its capacity, so a grown tail
+// is all nil.
 func (g *Graph) index(r ir.Reg, n *Node) {
-	if g.tab != nil {
-		g.tab.set(r, n)
+	if !g.indexed {
+		return
 	}
+	if int(r) >= len(g.byReg) {
+		g.byReg = slices.Grow(g.byReg, int(r)+1-len(g.byReg))
+		g.byReg = g.byReg[:cap(g.byReg)]
+	}
+	g.byReg[r] = n
 }
 
 // NumNodes returns the number of nodes.
@@ -185,8 +177,8 @@ func (g *Graph) NumNodes() int { return g.live }
 
 // NodeOf returns the node containing r, or nil.
 func (g *Graph) NodeOf(r ir.Reg) *Node {
-	if g.tab == nil {
-		if g.live <= tableMin {
+	if !g.indexed {
+		if g.live <= indexMin {
 			for _, n := range g.nodes {
 				if n != nil && n.Has(r) {
 					return n
@@ -194,22 +186,44 @@ func (g *Graph) NodeOf(r ir.Reg) *Node {
 			}
 			return nil
 		}
-		g.attach(&Table{})
+		g.indexed = true
+		for _, n := range g.nodes {
+			if n != nil {
+				for _, r := range n.Regs {
+					g.index(r, n)
+				}
+			}
+		}
 	}
-	if uint(r) < uint(len(g.tab.byReg)) {
-		return g.tab.byReg[r]
+	if uint(r) < uint(len(g.byReg)) {
+		return g.byReg[r]
 	}
 	return nil
 }
 
-// newNode appends a node to the arena.
-func (g *Graph) newNode(regs []ir.Reg) *Node {
-	n := &Node{Regs: regs, g: g, id: len(g.nodes)}
+// newNode adds a node holding r alone to the arena, reusing the struct
+// of the node that last had its id.
+func (g *Graph) newNode(r ir.Reg) *Node {
+	id := len(g.nodes)
+	if id == len(g.store) {
+		// One block of structs, and one of single-member lists, per
+		// growth step.
+		grow := max(8, len(g.store)/2)
+		blk := make([]Node, grow)
+		regs := make([]ir.Reg, grow)
+		for i := range blk {
+			blk[i].Regs = regs[i : i : i+1]
+			g.store = append(g.store, &blk[i])
+		}
+	}
+	n := g.store[id]
+	n.Regs = append(n.Regs[:0], r)
+	n.SpillCost, n.Color, n.Global = 0, 0, false
+	n.g, n.id = g, id
+	n.adj.Clear()
 	g.nodes = append(g.nodes, n)
 	g.live++
-	for _, r := range regs {
-		g.index(r, n)
-	}
+	g.index(r, n)
 	return n
 }
 
@@ -218,7 +232,7 @@ func (g *Graph) Ensure(r ir.Reg) *Node {
 	if n := g.NodeOf(r); n != nil {
 		return n
 	}
-	return g.newNode([]ir.Reg{r})
+	return g.newNode(r)
 }
 
 // AddEdge records an interference between the nodes of a and b
@@ -318,9 +332,9 @@ func (g *Graph) RenameReg(old, new ir.Reg) {
 	n.Regs = slices.Delete(n.Regs, i, i+1)
 	j, _ := slices.BinarySearch(n.Regs, new)
 	n.Regs = slices.Insert(n.Regs, j, new)
-	if g.tab != nil {
-		g.tab.byReg[old] = nil
-		g.tab.set(new, n)
+	if g.indexed {
+		g.byReg[old] = nil
+		g.index(new, n)
 	}
 }
 
@@ -461,8 +475,10 @@ func (h *nodeHeap) pop() *Node {
 // scan, with the lowest key breaking spill-cost ties deterministically.
 func (g *Graph) Color(k int, globalsDistinct bool) ColorResult {
 	slots := len(g.nodes)
-	degree := make([]int32, slots)
-	removed := make([]bool, slots)
+	g.degree = resize(g.degree, slots)
+	g.removed = resize(g.removed, slots)
+	degree, removed := g.degree, g.removed
+	clear(removed)
 	for _, n := range g.nodes {
 		if n == nil {
 			continue
@@ -471,17 +487,18 @@ func (g *Graph) Color(k int, globalsDistinct bool) ColorResult {
 		degree[n.id] = int32(n.adj.Len())
 	}
 
-	trivial := nodeHeap{less: func(a, b *Node) bool { return a.Key() < b.Key() }}
-	trivial.items = make([]*Node, 0, g.live)
+	trivial := &g.trivial
+	trivial.less = keyLess
+	trivial.items = trivial.items[:0]
 	for _, n := range g.nodes {
 		if n != nil && degree[n.id] < int32(k) {
 			trivial.push(n)
 		}
 	}
-	// The spill heap is built lazily: colourable graphs never need it.
+	// The spill heap is filled lazily: colourable graphs never need it.
 	var spillH *nodeHeap
 
-	stack := make([]*Node, 0, g.live)
+	stack := g.stack[:0]
 	push := func(n *Node) {
 		removed[n.id] = true
 		stack = append(stack, n)
@@ -512,13 +529,9 @@ func (g *Graph) Color(k int, globalsDistinct bool) ColorResult {
 		}
 		if pick == nil {
 			if spillH == nil {
-				spillH = &nodeHeap{less: func(a, b *Node) bool {
-					if a.SpillCost != b.SpillCost {
-						return a.SpillCost < b.SpillCost
-					}
-					return a.Key() < b.Key()
-				}}
-				spillH.items = make([]*Node, 0, int(remaining))
+				spillH = &g.spillH
+				spillH.less = costLess
+				spillH.items = spillH.items[:0]
 				for _, n := range g.nodes {
 					if n != nil && !removed[n.id] {
 						spillH.push(n)
@@ -534,10 +547,14 @@ func (g *Graph) Color(k int, globalsDistinct bool) ColorResult {
 		}
 		push(pick)
 	}
+	g.stack = stack
 
 	var res ColorResult
-	globalColors := make([]bool, k+1)
-	used := make([]int32, k+1)
+	g.globalColors = resize(g.globalColors, k+1)
+	g.used = resize(g.used, k+1)
+	globalColors, used := g.globalColors, g.used
+	clear(globalColors)
+	clear(used)
 	var stamp int32
 	for i := len(stack) - 1; i >= 0; i-- {
 		n := stack[i]
@@ -570,33 +587,68 @@ func (g *Graph) Color(k int, globalsDistinct bool) ColorResult {
 	return res
 }
 
+// keyLess orders the trivially colourable heap; costLess orders the
+// optimistic spill heap, the lowest key breaking spill-cost ties.
+func keyLess(a, b *Node) bool { return a.Key() < b.Key() }
+
+func costLess(a, b *Node) bool {
+	if a.SpillCost != b.SpillCost {
+		return a.SpillCost < b.SpillCost
+	}
+	return a.Key() < b.Key()
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough; the contents are not cleared.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
 // Combine merges all same-coloured nodes of a coloured graph into single
 // nodes (§3.1.5), producing a graph with at most k nodes. Uncoloured
 // nodes (spilled ones) are dropped. The colours survive on the combined
-// nodes.
+// nodes. The combined nodes, and their member lists, are allocated in
+// one block each.
 func (g *Graph) Combine() *Graph {
-	out := New()
 	nodes := g.Nodes()
 	maxColor := 0
 	for _, n := range nodes {
 		maxColor = max(maxColor, n.Color)
 	}
+	// One node per colour, numbered in order of the colour's first
+	// appearance, and each colour's member count.
+	out := &Graph{nodes: make([]*Node, 0, maxColor)}
+	blk := make([]Node, maxColor)
 	byColor := make([]*Node, maxColor+1)
+	members := make([]int, maxColor+1)
+	total := 0
 	for _, n := range nodes {
 		if n.Color == 0 {
 			continue
 		}
-		target := byColor[n.Color]
-		if target == nil {
-			target = out.newNode(append([]ir.Reg(nil), n.Regs...))
-			target.Color = n.Color
-			target.Global = n.Global
-			byColor[n.Color] = target
-		} else {
-			// Members are disjoint across nodes; they are sorted below.
-			target.Regs = append(target.Regs, n.Regs...)
-			target.Global = target.Global || n.Global
+		if byColor[n.Color] == nil {
+			t := &blk[out.live]
+			t.Color, t.g, t.id = n.Color, out, out.live
+			out.nodes = append(out.nodes, t)
+			out.live++
+			byColor[n.Color] = t
 		}
+		members[n.Color] += len(n.Regs)
+		total += len(n.Regs)
+	}
+	out.store = out.nodes // the store must cover every id handed out
+	regs := make([]ir.Reg, total)
+	off := 0
+	for _, t := range out.nodes {
+		t.Regs = regs[off : off : off+members[t.Color]]
+		off += members[t.Color]
+	}
+	for _, n := range nodes {
+		if n.Color == 0 {
+			continue
+		}
+		// Members are disjoint across nodes; they are sorted below.
+		target := byColor[n.Color]
+		target.Regs = append(target.Regs, n.Regs...)
+		target.Global = target.Global || n.Global
 	}
 	for _, n := range out.nodes {
 		slices.Sort(n.Regs)

@@ -4,10 +4,11 @@ package ig_test
 // map-backed reference (reference_test.go) must leave both rendering
 // alike and answering every register lookup alike. The sequences use
 // register numbers in the thousands, rename registers and merge nodes
-// through AddRegToNode. They grow graphs
-// past the node count where a graph starts indexing its registers in a
-// Table, merge them back below it, and build graphs in turn on one
-// shared Table, so that earlier graphs lose it while still in use.
+// through AddRegToNode. They grow graphs past the node count where a
+// graph starts indexing its registers, merge them back below it, and
+// reset the dense graph between sequences while the reference starts
+// afresh, so every reused node struct, member list, adjacency row, index
+// entry and colouring array must behave like new.
 
 import (
 	"fmt"
@@ -31,9 +32,10 @@ type opsRun struct {
 	rng  *rand.Rand
 	pool []ir.Reg // every register used so far
 	next ir.Reg   // the next fresh register for renames
-	// grew: a graph has had more than TableMin nodes; shrank: one then
-	// went below TableMin.
-	grew, shrank bool
+	// grew: a graph has had more than IndexMin nodes since its last
+	// reset; shrank: one then went below IndexMin. Both count only once a
+	// graph has been reset.
+	reset, grew, shrank bool
 }
 
 func (o *opsRun) reg() ir.Reg {
@@ -96,9 +98,12 @@ func (o *opsRun) check(p *opsPair, label string) {
 			o.t.Fatalf("%s: Interferes(%s, %s) = %v, reference %v", label, a, b, got, adj)
 		}
 	}
-	if n := p.d.NumNodes(); n > ig.TableMin {
+	if !o.reset {
+		return
+	}
+	if n := p.d.NumNodes(); n > ig.IndexMin {
 		o.grew = true
-	} else if o.grew && n < ig.TableMin {
+	} else if o.grew && n < ig.IndexMin {
 		o.shrank = true
 	}
 }
@@ -152,14 +157,61 @@ func (o *opsRun) step(p *opsPair, grow bool, label string) {
 	o.check(p, label)
 }
 
-// cycle grows p past twice TableMin nodes, then merges until it is below
+// cycle grows p past twice IndexMin nodes, then merges until it is below
 // half of it.
 func (o *opsRun) cycle(p *opsPair, label string) {
-	for i := 0; p.d.NumNodes() <= 2*ig.TableMin && i < 2000; i++ {
+	for i := 0; p.d.NumNodes() <= 2*ig.IndexMin && i < 2000; i++ {
 		o.step(p, true, label)
 	}
-	for i := 0; p.d.NumNodes() >= ig.TableMin/2 && i < 2000; i++ {
+	for i := 0; p.d.NumNodes() >= ig.IndexMin/2 && i < 2000; i++ {
 		o.step(p, false, label)
+	}
+}
+
+// restart resets p's dense graph, keeping its storage, and gives it a
+// fresh reference.
+func (o *opsRun) restart(p *opsPair, label string) {
+	p.d.Reset()
+	p.r = newRefGraph()
+	o.reset = true
+	o.check(p, label)
+}
+
+// colour gives p's twins the same spill costs, colours both with k
+// colours and checks they spill alike, then checks the combined graph.
+func (o *opsRun) colour(p *opsPair, k int, globalsDistinct bool, label string) {
+	t := o.t
+	t.Helper()
+	for p.d.NumNodes() <= 2*ig.IndexMin {
+		o.step(p, true, label)
+	}
+	for _, n := range p.d.Nodes() {
+		n.SpillCost = float64(int(n.Key()) % 7)
+	}
+	for _, n := range p.r.Nodes() {
+		n.SpillCost = float64(int(n.Key()) % 7)
+	}
+	res := p.d.Color(k, globalsDistinct)
+	ref := p.r.Color(k, globalsDistinct)
+	if got, want := fmt.Sprint(spillKeys(res.Spilled)), fmt.Sprint(refSpillKeys(ref)); got != want {
+		t.Fatalf("%s: k=%d spills %s, reference %s", label, k, got, want)
+	}
+	o.check(p, label)
+	sum := p.d.Combine()
+	if sum.NumNodes() > k {
+		t.Fatalf("%s: combined graph has %d nodes, k=%d", label, sum.NumNodes(), k)
+	}
+	for r, rn := range p.r.byReg {
+		sn := sum.NodeOf(r)
+		if rn.Color == 0 {
+			if sn != nil {
+				t.Fatalf("%s: spilled %s is in the combined graph", label, r)
+			}
+			continue
+		}
+		if sn == nil || sn.Color != rn.Color {
+			t.Fatalf("%s: %s combined into %v, want colour %d", label, r, sn, rn.Color)
+		}
 	}
 }
 
@@ -168,59 +220,32 @@ func TestDenseOpsMatchReference(t *testing.T) {
 	if testing.Short() {
 		trials = 6
 	}
-	var tab ig.Table
 	for trial := range trials {
 		o := &opsRun{t: t, rng: rand.New(rand.NewSource(int64(trial))), next: 5000}
 		label := func(name string) string { return fmt.Sprintf("trial %d %s", trial, name) }
-		// One graph on its own, one on the shared table.
+		k := 3 + trial%20
+		// a grows past the index threshold before its first reset, so it
+		// is reset with an index; b stays small, so it is reset without
+		// one.
 		a := &opsPair{ig.New(), newRefGraph()}
-		b := &opsPair{ig.NewOn(&tab), newRefGraph()}
-		o.cycle(a, label("New"))
-		o.cycle(b, label("NewOn"))
-		// A later graph takes the table over while b is still in use.
-		c := &opsPair{ig.NewOn(&tab), newRefGraph()}
-		for range 3 {
-			o.cycle(c, label("NewOn (taker)"))
-			o.cycle(b, label("NewOn (lost its table)"))
+		b := &opsPair{ig.New(), newRefGraph()}
+		o.cycle(a, label("a"))
+		o.colour(a, k, trial%2 == 0, label("a colour"))
+		for i := 0; b.d.NumNodes() < ig.IndexMin/2 && i < 2000; i++ {
+			o.step(b, true, label("b"))
+		}
+		for round := range 3 {
+			name := fmt.Sprintf("reset %d", round)
+			o.restart(a, label("a "+name))
+			o.restart(b, label("b "+name))
+			o.cycle(a, label("a "+name))
+			o.cycle(b, label("b "+name))
+			// Reset a coloured graph and colour again, at another k.
+			o.colour(a, k+round, (trial+round)%2 == 0, label("a "+name+" colour"))
 		}
 		if !o.grew || !o.shrank {
-			t.Fatalf("%s: node counts never crossed %d both ways", label("bounds"), ig.TableMin)
+			t.Fatalf("%s: node counts never crossed %d both ways after a reset", label("bounds"), ig.IndexMin)
 		}
-		// Colour and combine the grown-back graphs alike.
-		for _, p := range []*opsPair{a, b, c} {
-			o.cycle(p, label("final"))
-			for p.d.NumNodes() <= 2*ig.TableMin {
-				o.step(p, true, label("final"))
-			}
-			for _, n := range p.d.Nodes() {
-				n.SpillCost = float64(int(n.Key()) % 7)
-			}
-			for _, n := range p.r.Nodes() {
-				n.SpillCost = float64(int(n.Key()) % 7)
-			}
-			k := 3 + trial%20
-			res := p.d.Color(k, trial%2 == 0)
-			ref := p.r.Color(k, trial%2 == 0)
-			if got, want := fmt.Sprint(spillKeys(res.Spilled)), fmt.Sprint(refSpillKeys(ref)); got != want {
-				t.Fatalf("%s: k=%d spills %s, reference %s", label("colour"), k, got, want)
-			}
-			o.check(p, label("colour"))
-			sum := p.d.Combine()
-			if sum.NumNodes() > k {
-				t.Fatalf("%s: combined graph has %d nodes, k=%d", label("combine"), sum.NumNodes(), k)
-			}
-			for r, rn := range p.r.byReg {
-				sn := sum.NodeOf(r)
-				if rn.Color == 0 {
-					if sn != nil {
-						t.Fatalf("%s: spilled %s is in the combined graph", label("combine"), r)
-					}
-					continue
-				}
-				if sn == nil || sn.Color != rn.Color {
-					t.Fatalf("%s: %s combined into %v, want colour %d", label("combine"), r, sn, rn.Color)
-				}
-			}
-		}
+		o.colour(b, k, trial%2 == 1, label("b colour"))
 	}
 }

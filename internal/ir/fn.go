@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 )
 
 // RegionKind classifies region nodes of the pdgcc-style region tree.
@@ -323,12 +324,48 @@ func (f *Function) RefCounts(buf []int32) []int32 {
 
 // String renders the function in the textual IR format understood by
 // ParseFunction.
-func (f *Function) String() string { return string(f.appendText(nil)) }
+func (f *Function) String() string {
+	pr := printer{buf: make([]byte, 0, 128)}
+	f.writeText(&pr)
+	pr.grow()
+	f.writeText(&pr)
+	return pr.sb.String()
+}
 
-// appendText appends the function's textual form, as String returns it,
-// to b.
-func (f *Function) appendText(b []byte) []byte {
-	b = append(append(b, "func "...), f.Name...)
+// printer writes the textual IR one line at a time, formatting each line
+// in one reused buffer. A caller emits the text twice: the first pass
+// only measures it, so the second writes it into a builder grown once to
+// its exact length. Printed programs are kept, in result caches and by
+// their callers, and the string keeps the builder's whole buffer, so a
+// buffer sized by an estimate would keep its slack alive with it.
+type printer struct {
+	sb      strings.Builder
+	size    int
+	writing bool // false during the measuring pass
+	buf     []byte
+}
+
+// line emits b and a newline, and returns b's storage for the next line.
+func (pr *printer) line(b []byte) []byte {
+	b = append(b, '\n')
+	if pr.writing {
+		pr.sb.Write(b)
+	} else {
+		pr.size += len(b)
+	}
+	return b[:0]
+}
+
+// grow ends the measuring pass: the builder takes the measured length,
+// and later lines are written.
+func (pr *printer) grow() {
+	pr.sb.Grow(pr.size)
+	pr.writing = true
+}
+
+// writeText emits the function's textual form, as String returns it.
+func (f *Function) writeText(pr *printer) {
+	b := append(append(pr.buf, "func "...), f.Name...)
 	b = strconv.AppendInt(append(b, " params="...), int64(f.NumParams), 10)
 	b = strconv.AppendInt(append(b, " locals="...), f.LocalWords, 10)
 	if f.Allocated {
@@ -338,14 +375,14 @@ func (f *Function) appendText(b []byte) []byte {
 			b = append(b, " abi=1"...)
 		}
 	}
-	b = append(b, '\n')
+	b = pr.line(b)
 	for _, in := range f.Instrs {
 		if in.Op != OpLabel {
 			b = append(b, "    "...)
 		}
-		b = append(in.AppendText(b), '\n')
+		b = pr.line(in.AppendText(b))
 	}
-	return append(b, "end\n"...)
+	pr.buf = pr.line(append(b, "end"...))
 }
 
 // Clone returns a deep copy of the function, including the region tree.
@@ -404,20 +441,27 @@ func (p *Program) Clone() *Program {
 }
 
 func (p *Program) String() string {
-	b := strconv.AppendInt([]byte("globals "), p.GlobalWords, 10)
-	b = append(b, '\n')
 	addrs := make([]int64, 0, len(p.GlobalInit))
 	for a := range p.GlobalInit {
 		addrs = append(addrs, a)
 	}
 	slices.Sort(addrs)
+	pr := printer{buf: make([]byte, 0, 128)}
+	p.writeText(&pr, addrs)
+	pr.grow()
+	p.writeText(&pr, addrs)
+	return pr.sb.String()
+}
+
+// writeText emits the program's textual form; addrs are the initialized
+// global addresses, ascending.
+func (p *Program) writeText(pr *printer, addrs []int64) {
+	pr.buf = pr.line(strconv.AppendInt(append(pr.buf, "globals "...), p.GlobalWords, 10))
 	for _, a := range addrs {
-		b = strconv.AppendInt(append(b, "init "...), a, 10)
-		b = strconv.AppendInt(append(b, " = "...), p.GlobalInit[a], 10)
-		b = append(b, '\n')
+		b := strconv.AppendInt(append(pr.buf, "init "...), a, 10)
+		pr.buf = pr.line(strconv.AppendInt(append(b, " = "...), p.GlobalInit[a], 10))
 	}
 	for _, f := range p.Funcs {
-		b = f.appendText(b)
+		f.writeText(pr)
 	}
-	return string(b)
 }

@@ -272,3 +272,23 @@ func TestPrintLoadFMatchesPercentG(t *testing.T) {
 		}
 	}
 }
+
+// TestProgramStringAllocatesOnce: Program.String measures its text
+// before writing it into a builder grown once to that length, and
+// formats each line in one reused buffer, so printing a Table 1
+// program, allocated or not, takes at most three allocations (the text,
+// the line buffer, the sorted global addresses) however long the program
+// is.
+func TestProgramStringAllocatesOnce(t *testing.T) {
+	for _, bp := range bench.Programs() {
+		for _, a := range printAllocs {
+			p, err := core.Compile(bp.Source, core.Config{Allocator: a, K: 5})
+			if err != nil {
+				t.Fatalf("%s %s: %v", bp.Name, a, err)
+			}
+			if n := testing.AllocsPerRun(5, func() { _ = p.String() }); n > 3 {
+				t.Errorf("%s %s: String made %.0f allocations, want at most 3", bp.Name, a, n)
+			}
+		}
+	}
+}

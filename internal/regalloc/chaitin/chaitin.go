@@ -7,6 +7,7 @@ package chaitin
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
@@ -27,6 +28,20 @@ type Options struct {
 	Trace *obs.Tracer
 }
 
+// state is one function's allocation state: the CFG, liveness,
+// reference counts and interference graph that every round refills in
+// place, and the round's spilled registers. A finished allocation leaves
+// its state in states for the next one, of any function, to refill.
+type state struct {
+	g       *cfg.Graph
+	lv      *dataflow.Liveness
+	refs    []int32
+	graph   ig.Graph
+	spilled map[ir.Reg]bool
+}
+
+var states = sync.Pool{New: func() any { return &state{spilled: map[ir.Reg]bool{}} }}
+
 // Allocate rewrites f to use at most k physical registers, spilling to
 // dedicated frame slots where colouring fails. Spill cost follows Chaitin:
 // the number of definitions and uses of the register in the whole
@@ -37,33 +52,39 @@ func Allocate(f *ir.Function, k int, opts Options) error {
 	}
 	span := opts.Trace.StartSpan("gra.color")
 	defer span.End()
+	st := states.Get().(*state)
+	err := st.allocate(f, k, opts)
+	// Only a normal return puts the state back: a panic could leave its
+	// tables half filled.
+	if st.g != nil {
+		st.g.F = nil
+	}
+	states.Put(st)
+	return err
+}
+
+func (st *state) allocate(f *ir.Function, k int, opts Options) error {
 	sp := regalloc.NewSpiller(f)
-	// One CFG, liveness and reference count table, recomputed in place
-	// by every round.
-	var (
-		g    *cfg.Graph
-		lv   *dataflow.Liveness
-		refs []int32
-	)
+	graph := &st.graph
 	for iter := 0; iter < regalloc.MaxRounds; iter++ {
 		stopBuild := opts.Trace.StartTimer("gra.phase.build")
 		var err error
-		g, err = cfg.Rebuild(g, f)
+		st.g, err = cfg.Rebuild(st.g, f)
 		if err != nil {
 			stopBuild()
 			return fmt.Errorf("chaitin: %w", err)
 		}
-		lv = dataflow.RecomputeLiveness(lv, g)
-		graph := regalloc.BuildInterference(f, g, lv)
+		st.lv = dataflow.RecomputeLiveness(st.lv, st.g)
+		regalloc.BuildInterference(graph, f, st.g, st.lv)
 		stopBuild()
 
 		// Spill costs: refs/degree, infinite for spill temporaries.
-		refs = f.RefCounts(refs)
+		st.refs = f.RefCounts(st.refs)
 		for _, n := range graph.Nodes() {
 			total := 0
 			temp := false
 			for _, r := range n.Regs {
-				total += int(refs[r])
+				total += int(st.refs[r])
 				temp = temp || sp.IsTemp(r)
 			}
 			if temp {
@@ -112,17 +133,17 @@ func Allocate(f *ir.Function, k int, opts Options) error {
 		}
 		opts.Trace.Metrics().Add("gra.spill_rounds", 1)
 		stopSpill := opts.Trace.StartTimer("gra.phase.spill")
-		spilled := map[ir.Reg]bool{}
+		clear(st.spilled)
 		for _, n := range res.Spilled {
 			for _, r := range n.Regs {
 				if sp.IsTemp(r) {
 					return fmt.Errorf("chaitin: %s: spill temporary %s selected for spilling (k too small)", f.Name, r)
 				}
-				spilled[r] = true
+				st.spilled[r] = true
 			}
 		}
-		opts.Trace.Metrics().Add("gra.regs_spilled", int64(len(spilled)))
-		regalloc.SpillEverywhere(f, sp, spilled)
+		opts.Trace.Metrics().Add("gra.regs_spilled", int64(len(st.spilled)))
+		regalloc.SpillEverywhere(f, sp, st.spilled)
 		stopSpill()
 	}
 	return fmt.Errorf("chaitin: %s: no colouring after %d iterations", f.Name, regalloc.MaxRounds)

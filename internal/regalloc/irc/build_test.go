@@ -118,7 +118,7 @@ func TestBuildMatchesReference(t *testing.T) {
 		for _, orig := range p.Funcs {
 			for _, k := range []int{3, 5, 7, 9} {
 				f := orig.Clone()
-				pins := routeThroughABI(f)
+				pins := routeThroughABI(nil, f)
 				g, err := cfg.Build(f)
 				if err != nil {
 					t.Fatal(err)
@@ -200,7 +200,8 @@ func diff[T comparable](name string, got, want []T) error {
 }
 
 // TestReusedBuildMatchesFresh: after every rebuild round, the allocator
-// that build reset and refilled in place equals one built fresh on the
+// that build reset and refilled in place, reused across rounds and,
+// through the pool, across functions, equals one built fresh on the
 // same body. It runs randprog programs with the serve-compile
 // benchmark's generator settings at k=3, where IRC spills most, and
 // requires 20 functions that take three rounds or more.

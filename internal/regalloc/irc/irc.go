@@ -22,6 +22,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/bitset"
@@ -44,6 +45,10 @@ type Options struct {
 // against a fresh one.
 var afterBuild func(*allocator)
 
+// allocators holds allocator states for reuse: each allocation takes
+// one, refills its storage for its own function, and puts it back.
+var allocators = sync.Pool{New: func() any { return &allocator{} }}
+
 // Allocate rewrites f to use at most k physical registers under the call
 // ABI, spilling to dedicated frame slots where colouring fails, and
 // marks the function ABI. Spill cost follows Chaitin (refs/degree,
@@ -55,24 +60,34 @@ func Allocate(f *ir.Function, k int, opts Options) error {
 	}
 	span := opts.Trace.StartSpan("irc.color")
 	defer span.End()
+	a := allocators.Get().(*allocator)
+	err := a.allocate(f, k, opts)
+	// Only a normal return puts the allocator back: a panic could leave
+	// its tables half filled.
+	a.f, a.sp = nil, nil
+	if a.g != nil {
+		a.g.F = nil
+	}
+	allocators.Put(a)
+	return err
+}
+
+// allocate runs the rebuild rounds on f, resetting a's CFG, liveness and
+// worklist state in place every round.
+func (a *allocator) allocate(f *ir.Function, k int, opts Options) error {
 	sp := regalloc.NewSpiller(f)
-	a := &allocator{f: f, k: k, sp: sp, pins: routeThroughABI(f)}
-	// One CFG, liveness and allocator, reset in place by every rebuild
-	// round.
-	var (
-		g  *cfg.Graph
-		lv *dataflow.Liveness
-	)
+	a.f, a.k, a.sp = f, k, sp
+	a.pins = routeThroughABI(a.pins[:0], f)
 	for iter := 0; iter < regalloc.MaxRounds; iter++ {
 		stopBuild := opts.Trace.StartTimer("irc.phase.build")
 		var err error
-		g, err = cfg.Rebuild(g, f)
+		a.g, err = cfg.Rebuild(a.g, f)
 		if err != nil {
 			stopBuild()
 			return fmt.Errorf("irc: %s: %w", f.Name, err)
 		}
-		lv = dataflow.RecomputeLiveness(lv, g)
-		err = a.build(g, lv)
+		a.lv = dataflow.RecomputeLiveness(a.lv, a.g)
+		err = a.build(a.g, a.lv)
 		stopBuild()
 		if err != nil {
 			return fmt.Errorf("irc: %s: %w", f.Name, err)
@@ -132,10 +147,9 @@ type pin struct {
 // "ret vY" becomes "i2i vY => t; ret t". The inserted copies are
 // ordinary moves the coalescer eliminates whenever vX / vY can live in
 // RetReg, which is exactly the iterated-coalescing payoff at call sites.
-// The pins come back in ascending register order, the order NewReg hands
-// the temporaries out in.
-func routeThroughABI(f *ir.Function) []pin {
-	var pins []pin
+// The pins are appended to pins in ascending register order, the order
+// NewReg hands the temporaries out in.
+func routeThroughABI(pins []pin, f *ir.Function) []pin {
 	edit := regalloc.NewEdit()
 	for i, in := range f.Instrs {
 		switch in.Op {
@@ -187,19 +201,24 @@ const infiniteDegree = math.MaxInt32 / 2
 type move struct{ u, v int }
 
 // allocator is one function's worklist state, which build resets and
-// refills at every rebuild round, reusing the previous round's storage.
-// Node ids 0..k-1 are the machine registers r1..rk (precolored, infinite
-// degree, never simplified or spilled); ids k.. are the virtual registers
-// in ascending order. Virtual registers pinned by routeThroughABI map
-// directly onto the machine node of their color, which makes the
-// precolored handling the textbook one — no separate "forbidden color"
-// machinery.
+// refills at every rebuild round, reusing the previous round's storage;
+// between allocations it waits in allocators, its storage kept for the
+// next function. Node ids 0..k-1 are the machine registers r1..rk
+// (precolored, infinite degree, never simplified or spilled); ids k..
+// are the virtual registers in ascending order. Virtual registers pinned
+// by routeThroughABI map directly onto the machine node of their color,
+// which makes the precolored handling the textbook one — no separate
+// "forbidden color" machinery.
 type allocator struct {
 	f    *ir.Function
 	k    int
 	n    int
 	sp   *regalloc.Spiller
 	pins []pin
+	// g and lv are the function's CFG and liveness, recomputed in place
+	// every round.
+	g  *cfg.Graph
+	lv *dataflow.Liveness
 
 	regOf []ir.Reg // node id -> register (ir.None for ids < k)
 	idOf  []int32  // register -> node id, -1 for a register the body does not reference
@@ -296,6 +315,10 @@ func (a *allocator) build(g *cfg.Graph, lv *dataflow.Liveness) error {
 	a.cost = resize(a.cost, n)
 	a.adjList = resize(a.adjList, n)
 	a.moveList = resize(a.moveList, n)
+	// Lists a larger earlier function left past n would keep arrays that
+	// coalescing moved them to alive.
+	clear(a.adjList[n:cap(a.adjList)])
+	clear(a.moveList[n:cap(a.moveList)])
 	clear(a.where)
 	clear(a.color)
 	clear(a.cost)

@@ -9,9 +9,11 @@ import (
 // buildRegionGraph constructs the interference graph for region V in the
 // paper's two steps: add_region_conflicts over V's own statements and
 // add_subregion_conflicts (Fig. 4) to incorporate the subregions' combined
-// graphs.
+// graphs. It refills the allocator's one work graph, so the graph it
+// returns is valid until the next build.
 func (a *allocator) buildRegionGraph(V *ir.Region) *ig.Graph {
-	gv := ig.NewOn(&a.tab)
+	gv := &a.work
+	gv.Reset()
 	span := a.spans[V.ID]
 	own := a.ownIndices(V)
 

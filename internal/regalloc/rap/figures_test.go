@@ -6,7 +6,6 @@ package rap
 import (
 	"testing"
 
-	"repro/internal/ig"
 	"repro/internal/ir"
 	"repro/internal/regalloc"
 )
@@ -88,13 +87,8 @@ func newTestAllocator(t *testing.T, f *ir.Function, k int) *allocator {
 	if err := f.CheckRegions(); err != nil {
 		t.Fatal(err)
 	}
-	a := &allocator{
-		f:         f,
-		k:         k,
-		sp:        regalloc.NewSpiller(f),
-		graphs:    map[int]*ig.Graph{},
-		spilledIn: map[int]map[ir.Reg]bool{},
-	}
+	a := newAllocator()
+	a.f, a.k, a.sp = f, k, regalloc.NewSpiller(f)
 	if err := a.reanalyze(); err != nil {
 		t.Fatal(err)
 	}

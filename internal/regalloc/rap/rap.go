@@ -22,6 +22,7 @@ package rap
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/cfg"
@@ -80,14 +81,19 @@ func AllocateWithStats(f *ir.Function, k int, opts Options) (Stats, error) {
 	if f.Regions == nil {
 		return Stats{}, fmt.Errorf("rap: %s has no region tree", f.Name)
 	}
-	a := &allocator{
-		f:         f,
-		k:         k,
-		opts:      opts,
-		sp:        regalloc.NewSpiller(f),
-		graphs:    map[int]*ig.Graph{},
-		spilledIn: map[int]map[ir.Reg]bool{},
-	}
+	a := allocators.Get().(*allocator)
+	a.f, a.k, a.opts, a.sp = f, k, opts, regalloc.NewSpiller(f)
+	stats, err := a.allocate()
+	// Only a normal return puts the allocator back: a panic could leave
+	// a half-done merge or rename in its graph.
+	a.release()
+	allocators.Put(a)
+	return stats, err
+}
+
+// allocate runs the three phases on a.f.
+func (a *allocator) allocate() (Stats, error) {
+	f, k, opts := a.f, a.k, a.opts
 	if err := a.reanalyze(); err != nil {
 		return Stats{}, err
 	}
@@ -148,6 +154,11 @@ func (a *allocator) recordStats() {
 	m.Add("rap.funcs_allocated", 1)
 }
 
+// allocator is one function's allocation state. Finished allocations
+// leave theirs in allocators, and the next allocation, of any function,
+// refills it: the analysis, the region graph, the scratch sets and the
+// walk buffers keep their storage, and release drops everything that
+// belongs to the function allocated.
 type allocator struct {
 	f    *ir.Function
 	k    int
@@ -156,11 +167,13 @@ type allocator struct {
 
 	// graphs[id] is the summary interference graph of region id: the
 	// coloured, combined (≤ k node) graph for interior regions, and the
-	// full coloured graph for the entry region.
+	// full coloured graph (work) for the entry region.
 	graphs map[int]*ig.Graph
 	// spilledIn[id] records origins spilled while allocating region id
 	// (used by the Fig. 5 "already spilled" rule).
 	spilledIn map[int]map[ir.Reg]bool
+	// work is the graph every region build refills.
+	work ig.Graph
 
 	// Analysis state, recomputed in place by reanalyze after every code
 	// edit. totalRefs[r] counts r's references in the whole function.
@@ -180,15 +193,31 @@ type allocator struct {
 	stack    []int
 	// sites is spillReg's reused list of a register's sites in V.
 	sites []int
-	// tab is the register index lent to each region graph as it is
-	// built; the graph built last holds it.
-	tab ig.Table
 
 	// scratch holds the reusable dense buffers behind the per-region
 	// helper sets.
 	scratch regScratch
 
 	stats Stats
+}
+
+// allocators holds allocator states for reuse.
+var allocators = sync.Pool{New: func() any { return newAllocator() }}
+
+func newAllocator() *allocator {
+	return &allocator{graphs: map[int]*ig.Graph{}, spilledIn: map[int]map[ir.Reg]bool{}}
+}
+
+// release drops every reference to the allocated function, its spiller,
+// tracer and summary graphs, and the per-function records, so a reused
+// allocator starts clean.
+func (a *allocator) release() {
+	a.f, a.opts, a.sp, a.stats, a.jumpers = nil, Options{}, nil, Stats{}, nil
+	clear(a.graphs)
+	clear(a.spilledIn)
+	if a.g != nil {
+		a.g.F = nil
+	}
 }
 
 // afterReanalyze, when non-nil, runs at the end of every reanalyze. Only

@@ -1,6 +1,7 @@
 package rap
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/ig"
@@ -204,6 +205,11 @@ func mergeSites(dst, x, y []int) []int {
 func (a *allocator) defEscapes(d int, v ir.Reg, span ir.Span) bool {
 	if n := len(a.f.Instrs); len(a.visited) < n {
 		a.visited = make([]int32, n+n/4)
+	}
+	if a.visitGen == math.MaxInt32 {
+		// A reused allocator's generations would wrap: start over.
+		clear(a.visited)
+		a.visitGen = 0
 	}
 	a.visitGen++
 	escapes := false

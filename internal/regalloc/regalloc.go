@@ -42,17 +42,18 @@ func ForEachInterference(g *cfg.Graph, lv *dataflow.Liveness, edge func(d, r ir.
 	}
 }
 
-// BuildInterference constructs the classic whole-function interference
-// graph, the one GRA colours: a node per referenced register and the
-// edges of ForEachInterference. The nodes are made first and the rows
-// are bitsets, so the order edges arrive in does not matter.
-func BuildInterference(f *ir.Function, g *cfg.Graph, lv *dataflow.Liveness) *ig.Graph {
-	graph := ig.New()
+// BuildInterference refills graph with the classic whole-function
+// interference graph, the one GRA colours: a node per referenced
+// register and the edges of ForEachInterference. The nodes are made
+// first and the rows are bitsets, so the order edges arrive in does not
+// matter. graph is Reset first, so it keeps its storage from any earlier
+// build.
+func BuildInterference(graph *ig.Graph, f *ir.Function, g *cfg.Graph, lv *dataflow.Liveness) {
+	graph.Reset()
 	for _, r := range f.VRegs() {
 		graph.Ensure(r)
 	}
 	ForEachInterference(g, lv, graph.AddEdge)
-	return graph
 }
 
 // Spiller hands out spill slots and spill temporaries, remembering which

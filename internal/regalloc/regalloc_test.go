@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
+	"repro/internal/ig"
 	"repro/internal/ir"
 	"repro/internal/regalloc"
 )
@@ -31,7 +32,8 @@ func TestBuildInterferenceBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	lv := dataflow.ComputeLiveness(g)
-	graph := regalloc.BuildInterference(f, g, lv)
+	graph := ig.New()
+	regalloc.BuildInterference(graph, f, g, lv)
 	// r1 and r2 simultaneously live; r3 defined while r1 still live.
 	if !graph.Interferes(1, 2) {
 		t.Error("r1-r2 edge missing")
@@ -56,7 +58,8 @@ func TestCopyRule(t *testing.T) {
 	ret`)
 	g, _ := cfg.Build(f)
 	lv := dataflow.ComputeLiveness(g)
-	graph := regalloc.BuildInterference(f, g, lv)
+	graph := ig.New()
+	regalloc.BuildInterference(graph, f, g, lv)
 	if graph.Interferes(1, 2) {
 		t.Error("copy source and destination should not interfere")
 	}
